@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .channel import BathParams
 from .errors import GaussPurityError
@@ -122,8 +124,10 @@ def _cmd_sample(args) -> int:
         sample_q(state, args.n, args.seed).to_csv(args.out)
     else:
         thetas = args.theta if args.theta else list(THREE_QUADRATURE_PHASES)
-        batches = [sample_homodyne(state, th, args.n, args.seed + i)
-                   for i, th in enumerate(thetas)]
+        # one independent Philox stream per phase, spawned from the seed
+        children = np.random.SeedSequence(args.seed).spawn(len(thetas))
+        batches = [sample_homodyne(state, th, args.n, child)
+                   for th, child in zip(thetas, children)]
         write_homodyne_batches(batches, args.out)
     return 0
 

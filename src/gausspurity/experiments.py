@@ -3,6 +3,9 @@
 Each runner returns an ExperimentReport: a flat table plus an echo of the
 configuration and provenance, so a report can be re-run bit-identically
 and emitted as CSV (plot-ready) or JSON (machine-readable).
+
+The Q-method runners draw Gaussian records by construction, so their
+single-trial CIs come from the parametric (Wishart) bootstrap.
 """
 
 from __future__ import annotations
@@ -160,7 +163,8 @@ def run_fig_varnx(config: ExperimentConfig) -> ExperimentReport:
             try:
                 if config.trials == 1:
                     pe = purity_from_q(batch, resamples=config.resamples,
-                                       level=config.level, seed=rng)
+                                       level=config.level, seed=rng,
+                                       bootstrap="parametric")
                     estimates.append(pe.mu_hat)
                     cis.append((pe.ci_low, pe.ci_high))
                 else:
@@ -229,7 +233,8 @@ def _q_sweep(config: ExperimentConfig, grid, grid_name, make_state, n_data):
             try:
                 if config.trials == 1:
                     pe = purity_from_q(batch, resamples=config.resamples,
-                                       level=config.level, seed=rng)
+                                       level=config.level, seed=rng,
+                                       bootstrap="parametric")
                     estimates.append(pe.mu_hat)
                     cis.append((pe.ci_low, pe.ci_high))
                 else:

@@ -30,7 +30,7 @@ CSV_HOMODYNE_HEADER = "theta,value"
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Generator from a 64-bit seed; passes an existing Generator through."""
+    """Generator from a 64-bit seed or a SeedSequence; passes a Generator through."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(seed))

@@ -97,6 +97,32 @@ class TestPurityFromQ:
             hits += est.ci_low <= mu_true <= est.ci_high
         assert 0.60 <= hits / trials <= 0.76
 
+    def test_parametric_bootstrap_reproducible(self):
+        batch = sample_q(SQUEEZED, 5_000, seed=15)
+        a = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
+        b = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
+        assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
+        assert a.ci_low <= a.mu_hat <= a.ci_high
+        d = a.to_dict()
+        assert d["bootstrap"] == "parametric"
+        assert 100 <= d["resamples_used"] <= 200
+
+    def test_parametric_bootstrap_coverage(self):
+        # same state, sizes, seeds and band as the nonparametric test
+        state = GaussianState.thermal(1.0)
+        mu_true = purity(state.cov)
+        trials, hits = 400, 0
+        for k in range(trials):
+            batch = sample_q(state, 500, seed=3_000 + k)
+            est = purity_from_q(batch, resamples=300, seed=k, bootstrap="parametric")
+            hits += est.ci_low <= mu_true <= est.ci_high
+        assert 0.60 <= hits / trials <= 0.76
+
+    def test_unknown_bootstrap_rejected(self):
+        batch = sample_q(SQUEEZED, 1_000, seed=16)
+        with pytest.raises(ValueError, match="bootstrap"):
+            purity_from_q(batch, bootstrap="jackknife")
+
     def test_asymptotically_unbiased(self):
         n, trials = 100_000, 200
         for nbar, r in [(0.1, 1.5), (0.5, 1.0), (1.0, 0.0)]:

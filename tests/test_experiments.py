@@ -1,10 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from gausspurity import (ExperimentConfig, GaussianParams, QSampleBatch,
                          emit, run_experiment)
 from gausspurity.cli import main
+from gausspurity.sampling import read_homodyne_batches
 
 SMALL_N_GRID = [300, 1_000, 3_000]
 
@@ -181,6 +184,9 @@ class TestCli:
         assert result["method"] == "q_joint"
         assert result["mu_hat"] == pytest.approx(0.5, rel=0.1)
         assert result["ci_low"] <= result["mu_hat"] <= result["ci_high"]
+        # a recorded CSV need not be Gaussian: estimate stays nonparametric
+        assert result["bootstrap"] == "nonparametric"
+        assert 200 <= result["resamples_used"] <= 400
 
     def test_sample_then_estimate_homodyne(self, tmp_path, capsys):
         data = tmp_path / "homodyne.csv"
@@ -193,6 +199,19 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["method"] == "three_quadrature"
         assert result["mu_hat"] == pytest.approx(1 / 3, rel=0.1)
+
+    def test_homodyne_seeds_give_independent_records(self, tmp_path):
+        # the pi/4 record of --seed 0 and the 0 record of --seed 1 must not
+        # share draws
+        records = []
+        for seed in (0, 1):
+            path = tmp_path / f"hom{seed}.csv"
+            assert main(["sample", "--kind", "homodyne", "--n", "30000",
+                         "--seed", str(seed), "--out", str(path)]) == 0
+            records.append(read_homodyne_batches(path))
+        pi4 = next(b for t, b in records[0].items() if math.isclose(t, math.pi / 4))
+        corr = np.corrcoef(pi4.values, records[1][0.0].values)[0, 1]
+        assert abs(corr) < 0.05
 
     def test_estimate_missing_quadrature(self, tmp_path, capsys):
         data = tmp_path / "one_phase.csv"
