@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicalityError, UnphysicalBathError, UnsupportedConditionError
-from .states import CovMatrix, GaussianParams, GaussianState, cov_from_params
+from .errors import UnphysicalBathError, UnsupportedConditionError
+from .states import CovMatrix, GaussianParams, GaussianState
 
 _R_EPS = 1e-12
 
@@ -91,81 +91,93 @@ def channel_asymptote(bath: BathParams) -> ChannelAsymptote:
                             nbar_inf=(1.0 / mu_inf - 1.0) / 2.0)
 
 
+def _relaxation(bath: BathParams, t):
+    """(e^{-gamma t}, 1 - e^{-gamma t}) on a scalar or an array of times t >= 0.
+
+    1 - e^{-gamma t} comes from expm1, so it keeps its digits at small gamma*t.
+    """
+    t = np.asarray(t, dtype=float)[()]      # [()]: a 0-d array becomes a numpy scalar
+    if (t < 0).any():
+        raise ValueError(f"time must be >= 0, got {np.min(t)}")
+    gt = bath.gamma * t
+    return np.exp(-gt), -np.expm1(-gt)
+
+
+def _like_t(values):
+    """A Python float for a scalar t, the array itself for an array of times."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _evolved(state: GaussianState, bath: BathParams, t):
+    """(sxx, spp, sxp, x0, p0) at time t, as scalars or arrays like t."""
+    sinf = asymptotic_cov(bath)
+    eta, om = _relaxation(bath, t)
+    damp = np.exp(-0.5 * bath.gamma * np.asarray(t, dtype=float))
+    cov = state.cov
+    return (sinf.sxx * om + cov.sxx * eta, sinf.spp * om + cov.spp * eta,
+            sinf.sxp * om + cov.sxp * eta, state.x0 * damp, state.p0 * damp)
+
+
 def evolve_cov(state: GaussianState, bath: BathParams, t: float) -> GaussianState:
     """Exact state at time t: convex combination of sigma(0) and sigma_inf.
 
     First moments are damped as e^{-gamma t/2} (the channel absorbs the
     coherent photons of the state).
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
     state.cov.require_physical()
-    sinf = asymptotic_cov(bath)
-    eta = math.exp(-bath.gamma * t)
-    om = 1.0 - eta
-    cov = CovMatrix(sxx=sinf.sxx * om + state.cov.sxx * eta,
-                    spp=sinf.spp * om + state.cov.spp * eta,
-                    sxp=sinf.sxp * om + state.cov.sxp * eta)
-    damp = math.exp(-bath.gamma * t / 2.0)
-    return GaussianState(cov=cov, x0=state.x0 * damp, p0=state.p0 * damp)
+    sxx, spp, sxp, x0, p0 = (float(v) for v in _evolved(state, bath, t))
+    return GaussianState(cov=CovMatrix(sxx=sxx, spp=spp, sxp=sxp), x0=x0, p0=p0)
 
 
-def mu_of_t(state0: GaussianParams, bath: BathParams, t: float) -> float:
-    """Purity at time t of the evolved state, in closed form.
+def _closed_forms(state0: GaussianParams, bath: BathParams, t):
+    """mu(t) and the numerator and denominator of tan(2*phi(t)).
+
+    The bath is validated once per call whatever the number of times.
+    num and den are mu0 * (2*sigma_xp(t), sigma_pp(t) - sigma_xx(t)), so
+    hypot(num, den) * mu(t)/mu0 = sinh(2r(t)).
+    """
+    asym = channel_asymptote(bath)
+    eta, om = _relaxation(bath, t)
+    mu0 = state0.mu
+    ch, sh = math.cosh(2.0 * state0.r), math.sinh(2.0 * state0.r)
+    c2, s2 = math.cos(2.0 * state0.phi), math.sin(2.0 * state0.phi)
+    cross = (2.0 * bath.N + 1.0) * ch + 2.0 * sh * (bath.M1 * c2 - bath.M2 * s2)
+    bracket = (mu0**2 / asym.mu_inf**2) * om**2 + eta**2 + 2.0 * mu0 * cross * om * eta
+    num = 2.0 * mu0 * bath.M2 * om + sh * s2 * eta
+    den = -2.0 * mu0 * bath.M1 * om + sh * c2 * eta
+    return mu0 / np.sqrt(bracket), num, den
+
+
+def mu_of_t(state0: GaussianParams, bath: BathParams, t):
+    """Purity at time t (a scalar or an array) of the evolved state, in closed form.
 
     Agrees with purity(evolve_cov(...)) to better than 1e-10; the closed
     form is the expansion of det(sigma(t)) for the convex combination.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    asym = channel_asymptote(bath)
-    mu0 = state0.mu
-    eta = math.exp(-bath.gamma * t)
-    om = 1.0 - eta
-    cross = ((2.0 * bath.N + 1.0) * math.cosh(2.0 * state0.r)
-             + 2.0 * math.sinh(2.0 * state0.r)
-             * (bath.M1 * math.cos(2.0 * state0.phi)
-                - bath.M2 * math.sin(2.0 * state0.phi)))
-    bracket = (mu0**2 / asym.mu_inf**2) * om**2 + eta**2 + 2.0 * mu0 * cross * om * eta
-    return mu0 / math.sqrt(bracket)
+    return _like_t(_closed_forms(state0, bath, t)[0])
 
 
-def r_of_t(state0: GaussianParams, bath: BathParams, t: float) -> float:
-    """Squeezing magnitude at time t, from the cosh(2r(t)) closed form."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    validate_bath(bath)
-    eta = math.exp(-bath.gamma * t)
-    mu_t = mu_of_t(state0, bath, t)
-    arg = mu_t * ((2.0 * bath.N + 1.0) * (1.0 - eta)
-                  + eta * math.cosh(2.0 * state0.r) / state0.mu)
-    if arg < 1.0:
-        if arg < 1.0 - 1e-12:
-            raise PhysicalityError(f"cosh(2r(t)) = {arg} < 1")
-        arg = 1.0
-    return 0.5 * math.acosh(arg)
+def r_of_t(state0: GaussianParams, bath: BathParams, t):
+    """Squeezing magnitude at time t (a scalar or an array), in closed form.
+
+    sinh(2r(t)) = mu(t) * sqrt((sigma_xx - sigma_pp)^2 + 4 sigma_xp^2) is
+    fed to asinh, which keeps full relative precision as r(t) -> 0.
+    """
+    mu_t, num, den = _closed_forms(state0, bath, t)
+    return _like_t(0.5 * np.arcsinh(mu_t / state0.mu * np.hypot(num, den)))
 
 
-def phi_of_t(state0: GaussianParams, bath: BathParams, t: float) -> float:
-    """Squeezing angle at time t, normalized to [0, pi).
+def phi_of_t(state0: GaussianParams, bath: BathParams, t):
+    """Squeezing angle at time t (a scalar or an array), normalized to [0, pi).
 
     Numerator and denominator of the tan(2*phi(t)) closed form are fed to
     atan2 separately, which keeps the angle consistent with the actual
     covariance matrix at all times.  In a thermal bath (M = 0) the angle
     is constant; when the squeezing vanishes the angle is set to 0.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    validate_bath(bath)
-    eta = math.exp(-bath.gamma * t)
-    om = 1.0 - eta
-    mu0 = state0.mu
-    sh = math.sinh(2.0 * state0.r)
-    num = 2.0 * mu0 * bath.M2 * om + sh * math.sin(2.0 * state0.phi) * eta
-    den = -2.0 * mu0 * bath.M1 * om + sh * math.cos(2.0 * state0.phi) * eta
-    if math.hypot(num, den) < 1e-300:
-        return 0.0
-    return (0.5 * math.atan2(num, den)) % math.pi
+    _, num, den = _closed_forms(state0, bath, t)
+    phi = (0.5 * np.arctan2(num, den)) % math.pi
+    return _like_t(np.where(np.hypot(num, den) < 1e-300, 0.0, phi))
 
 
 def mu_optimal(mu0: float, bath: BathParams, t: float) -> float:
@@ -248,13 +260,24 @@ def integrate_cov_ode(state: GaussianState, bath: BathParams, t: float,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times in units of 1/gamma plus per-time summaries."""
+    """Sampled evolution: times in units of 1/gamma plus per-time columns."""
 
     times: np.ndarray        # gamma * t
-    states: list
     mus: np.ndarray
     rs: np.ndarray
     phis: np.ndarray
+    sxx: np.ndarray
+    spp: np.ndarray
+    sxp: np.ndarray
+    x0: np.ndarray
+    p0: np.ndarray
+
+    @property
+    def states(self) -> list:
+        """The evolved GaussianState at each time, built on demand."""
+        return [GaussianState(cov=CovMatrix(sxx=float(a), spp=float(b), sxp=float(c)),
+                              x0=float(x), p0=float(p))
+                for a, b, c, x, p in zip(self.sxx, self.spp, self.sxp, self.x0, self.p0)]
 
     def to_csv(self, path):
         import csv
@@ -263,20 +286,15 @@ class Trajectory:
             writer = csv.writer(fh)
             writer.writerow(["gamma_t", "mu", "r", "phi",
                              "sxx", "spp", "sxp", "x0", "p0"])
-            for gt, mu, r, phi, s in zip(self.times, self.mus, self.rs,
-                                         self.phis, self.states):
-                writer.writerow([gt, mu, r, phi, s.cov.sxx, s.cov.spp,
-                                 s.cov.sxp, s.x0, s.p0])
+            writer.writerows(zip(self.times, self.mus, self.rs, self.phis,
+                                 self.sxx, self.spp, self.sxp, self.x0, self.p0))
 
 
 def trajectory(state0: GaussianParams, bath: BathParams, times) -> Trajectory:
     """Evaluate the analytic evolution on a time grid (physical times)."""
-    validate_bath(bath)
     times = np.asarray(times, dtype=float)
-    initial = GaussianState(cov=cov_from_params(state0), x0=state0.x0, p0=state0.p0)
-    states = [evolve_cov(initial, bath, t) for t in times]
-    mus = np.array([mu_of_t(state0, bath, t) for t in times])
-    rs = np.array([r_of_t(state0, bath, t) for t in times])
-    phis = np.array([phi_of_t(state0, bath, t) for t in times])
-    return Trajectory(times=bath.gamma * times, states=states, mus=mus,
-                      rs=rs, phis=phis)
+    initial = GaussianState.from_params(state0)
+    initial.cov.require_physical()
+    return Trajectory(bath.gamma * times, mu_of_t(state0, bath, times),
+                      r_of_t(state0, bath, times), phi_of_t(state0, bath, times),
+                      *_evolved(initial, bath, times))

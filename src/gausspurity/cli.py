@@ -48,13 +48,14 @@ def _state_from_args(args) -> GaussianState:
         x0=args.x0, p0=args.p0, nbar=args.nbar, r=args.r, phi=args.phi))
 
 
-def _load_config(path) -> ExperimentConfig:
+def _load_config(path, experiment: str) -> ExperimentConfig:
     with open(path) as fh:
         data = json.load(fh)
     # a previously emitted JSON report can be re-fed directly
     if "config" in data and "experiment" in data.get("config", {}):
         data = data["config"]
-    return ExperimentConfig.from_dict(data)
+    # set before construction, so a missing state takes this experiment's default
+    return ExperimentConfig.from_dict({**data, "experiment": experiment})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,8 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_experiment(args, experiment: str) -> int:
     if args.config:
-        config = _load_config(args.config)
-        config.experiment = experiment
+        config = _load_config(args.config, experiment)
     else:
         kwargs = {"experiment": experiment}
         if experiment in _EVOLUTIONS.values() and getattr(args, "bath_n", None) is not None:

@@ -90,9 +90,17 @@ def moments_from_q(batch: QSampleBatch) -> MomentEstimate:
     cross moment needs no correction.  Unbiased (n-1) estimators are
     used throughout.
     """
+    return _moments_of(batch, _q_cov(batch))
+
+
+def _q_cov(batch: QSampleBatch) -> np.ndarray:
+    """Unbiased 2x2 sample covariance of the Q-pairs, vacuum noise included."""
     if batch.n < 2:
         raise InsufficientDataError(f"need at least 2 Q-samples, got {batch.n}")
-    c = np.cov(batch.pairs, rowvar=False, ddof=1)
+    return np.cov(batch.pairs, rowvar=False, ddof=1)
+
+
+def _moments_of(batch: QSampleBatch, c: np.ndarray) -> MomentEstimate:
     return MomentEstimate(mean_x=float(batch.x.mean()), mean_p=float(batch.p.mean()),
                           sxx_hat=float(c[0, 0]) - 0.5,
                           spp_hat=float(c[1, 1]) - 0.5,
@@ -138,7 +146,8 @@ def _bootstrap_q(pairs: np.ndarray, resamples: int, rng: np.random.Generator) ->
     return np.concatenate(out)
 
 
-def _parametric_q(pairs: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
+def _parametric_q(q_cov: np.ndarray, n: int, resamples: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Purity of parametric bootstrap resamples of a Gaussian Q-batch.
 
     (n-1) times the sample covariance of n Gaussian pairs is Wishart with
@@ -147,8 +156,7 @@ def _parametric_q(pairs: np.ndarray, resamples: int, rng: np.random.Generator) -
     and A lower triangular: a11 = sqrt(chi2_{n-1}), a22 = sqrt(chi2_{n-2}),
     a21 ~ N(0, 1).  Degenerate resamples are dropped.
     """
-    n = pairs.shape[0]
-    (l11, _), (l21, l22) = np.linalg.cholesky(np.cov(pairs, rowvar=False, ddof=1))
+    (l11, _), (l21, l22) = np.linalg.cholesky(q_cov)
     a11 = np.sqrt(rng.chisquare(n - 1, resamples))
     a22 = np.sqrt(rng.chisquare(n - 2, resamples))
     a21 = rng.standard_normal(resamples)
@@ -159,7 +167,7 @@ def _parametric_q(pairs: np.ndarray, resamples: int, rng: np.random.Generator) -
                        b11 * b21 / (n - 1))
 
 
-_Q_BOOTSTRAPS = {"nonparametric": _bootstrap_q, "parametric": _parametric_q}
+_Q_BOOTSTRAPS = ("nonparametric", "parametric")
 
 
 def _percentile_ci(samples: np.ndarray, point: float, level: float):
@@ -179,13 +187,18 @@ def purity_from_q(batch: QSampleBatch, resamples: int = 400,
     """
     if bootstrap not in _Q_BOOTSTRAPS:
         raise ValueError(f"unknown bootstrap {bootstrap!r}; choose one of "
-                         f"{tuple(_Q_BOOTSTRAPS)}")
+                         f"{_Q_BOOTSTRAPS}")
     if batch.n < 3:
         raise InsufficientDataError(f"need at least 3 Q-samples, got {batch.n}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
-    point = purity_from_moments(moments_from_q(batch))
-    mus = _Q_BOOTSTRAPS[bootstrap](batch.pairs, resamples, make_rng(seed))
+    q_cov = _q_cov(batch)
+    point = purity_from_moments(_moments_of(batch, q_cov))
+    rng = make_rng(seed)
+    if bootstrap == "parametric":
+        mus = _parametric_q(q_cov, batch.n, resamples, rng)
+    else:
+        mus = _bootstrap_q(batch.pairs, resamples, rng)
     if mus.size < max(2, resamples // 2):
         raise DegenerateSampleError(
             f"only {mus.size}/{resamples} bootstrap resamples were physical")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,8 @@ EXPERIMENTS = ("fig_varnx", "fig_trequad", "fig_varr", "fig_varnth",
 
 # Fig. 1/2 state: strongly squeezed thermal state with true purity 0.5.
 DEFAULT_STATE = GaussianParams(nbar=0.5, r=1.5, phi=0.0)
+# fig_varnth sweeps nbar at the squeezing r = 1.0 unless a state is given.
+VARNTH_STATE = GaussianParams(nbar=0.5, r=1.0, phi=0.0)
 
 DEFAULT_N_GRID = [1_000, 3_000, 10_000, 30_000, 100_000]
 DEFAULT_R_GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -53,7 +55,7 @@ ODE_ORACLE_STEP = 5e-3
 @dataclass
 class ExperimentConfig:
     experiment: str
-    state: GaussianParams = field(default_factory=lambda: DEFAULT_STATE)
+    state: Optional[GaussianParams] = None    # None: the experiment's default
     bath: Optional[BathParams] = None
     n_grid: Optional[list] = None
     r_grid: Optional[list] = None
@@ -69,6 +71,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose one of {EXPERIMENTS}")
+        if self.state is None:
+            self.state = (VARNTH_STATE if self.experiment == "fig_varnth"
+                          else DEFAULT_STATE)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for name in ("n_grid", "r_grid", "nbar_grid", "t_grid"):
@@ -263,82 +268,76 @@ def run_fig_varr(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_fig_varnth(config: ExperimentConfig) -> ExperimentReport:
-    """Q-method estimate versus nbar at fixed r = 1.0, N_x = 10^4."""
+    """Q-method estimate versus nbar at the state's squeezing, N_x = 10^4."""
     grid = config.nbar_grid or DEFAULT_NBAR_GRID
     base = config.state
-    r = base.r if base.r != DEFAULT_STATE.r else 1.0
     make = lambda nb: GaussianParams(x0=base.x0, p0=base.p0, nbar=float(nb),
-                                     r=r, phi=base.phi)
+                                     r=base.r, phi=base.phi)
     columns, rows = _q_sweep(config, grid, "nbar", make, VARNTH_N)
     return ExperimentReport("fig_varnth", columns, rows, config.to_dict(),
                             _provenance(config))
 
 
-def _ode_residual(params: GaussianParams, bath: BathParams, t: float) -> float:
-    integrated = integrate_cov_ode(GaussianState.from_params(params), bath, t,
-                                   step=ODE_ORACLE_STEP)
-    return abs(mu_of_t(params, bath, t) - purity(integrated.cov))
+def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
+    """Purity/squeezing trajectories of the three reference inputs.
 
-
-def run_evolution(config: ExperimentConfig) -> ExperimentReport:
-    """Noisy-channel evolution experiments (analytic + RK4 oracle).
-
-    evolution_time     purity/squeezing trajectories of the three
-                       reference inputs in the config bath (default
-                       N = 0.5 thermal), with the ODE-oracle residual.
-    evolution_r0_sweep purity at gamma*t = 1 versus initial squeezing,
-                       for thermal baths N in {0, 0.5, 1}.
-    ratio_check        closed-form ratio of squeezed (r0 = 1.5) to
-                       coherent input purity at gamma*t = 1 in the
-                       N = 1 thermal bath.
+    The bath is the config bath (default N = 0.5 thermal).  Each row carries
+    the residual of the closed-form mu against the RK4 oracle, which is
+    integrated once per input along the ascending time grid.
     """
-    if config.experiment == "evolution_time":
-        bath = validate_bath(config.bath or BathParams(N=0.5))
-        t_grid = config.t_grid or DEFAULT_T_GRID
-        columns = ["input", "gamma_t", "mu", "r", "phi", "ode_residual"]
-        rows = []
-        for label, params in EVOLUTION_INPUTS:
-            traj = trajectory(params, bath, np.asarray(t_grid) / bath.gamma)
-            for gt, mu, r, phi in zip(traj.times, traj.mus, traj.rs, traj.phis):
-                res = _ode_residual(params, bath, gt / bath.gamma)
-                rows.append(dict(zip(columns,
-                                     [label, float(gt), float(mu), float(r),
-                                      float(phi), res])))
-        return ExperimentReport("evolution_time", columns, rows,
-                                config.to_dict(), _provenance(config))
+    bath = validate_bath(config.bath or BathParams(N=0.5))
+    times = np.asarray(config.t_grid or DEFAULT_T_GRID, dtype=float) / bath.gamma
+    columns = ["input", "gamma_t", "mu", "r", "phi", "ode_residual"]
+    rows = []
+    for label, params in EVOLUTION_INPUTS:
+        traj = trajectory(params, bath, times)
+        oracle, t_prev = GaussianState.from_params(params), 0.0
+        for t, gt, mu, r, phi in zip(times, traj.times, traj.mus, traj.rs, traj.phis):
+            oracle = integrate_cov_ode(oracle, bath, t - t_prev, step=ODE_ORACLE_STEP)
+            t_prev = t
+            rows.append(dict(zip(columns,
+                                 [label, float(gt), float(mu), float(r), float(phi),
+                                  float(abs(mu - purity(oracle.cov)))])))
+    return ExperimentReport("evolution_time", columns, rows, config.to_dict(),
+                            _provenance(config))
 
-    if config.experiment == "evolution_r0_sweep":
-        r_grid = config.r_grid or [0.1 * k for k in range(21)]
-        columns = ["N", "r0", "mu"]
-        rows = []
-        for n_bath in (0.0, 0.5, 1.0):
-            bath = BathParams(N=n_bath)
-            for r0 in r_grid:
-                mu = mu_of_t(GaussianParams(r=float(r0)), bath, 1.0 / bath.gamma)
-                rows.append(dict(zip(columns, [n_bath, float(r0), mu])))
-        return ExperimentReport("evolution_r0_sweep", columns, rows,
-                                config.to_dict(), _provenance(config))
 
-    if config.experiment == "ratio_check":
-        bath = validate_bath(config.bath or BathParams(N=1.0))
-        t = 1.0 / bath.gamma
-        mu_sq = mu_of_t(GaussianParams(r=1.5), bath, t)
-        mu_coh = mu_of_t(GaussianParams(), bath, t)
-        columns = ["gamma_t", "mu_squeezed", "mu_coherent", "ratio"]
-        rows = [dict(zip(columns, [1.0, mu_sq, mu_coh, mu_sq / mu_coh]))]
-        return ExperimentReport("ratio_check", columns, rows, config.to_dict(),
-                                _provenance(config))
+def run_evolution_r0_sweep(config: ExperimentConfig) -> ExperimentReport:
+    """Purity at gamma*t = 1 versus initial squeezing, thermal baths N in {0, 0.5, 1}."""
+    r_grid = config.r_grid or [0.1 * k for k in range(21)]
+    columns = ["N", "r0", "mu"]
+    rows = []
+    for n_bath in (0.0, 0.5, 1.0):
+        bath = BathParams(N=n_bath)
+        for r0 in r_grid:
+            mu = mu_of_t(GaussianParams(r=float(r0)), bath, 1.0 / bath.gamma)
+            rows.append(dict(zip(columns, [n_bath, float(r0), mu])))
+    return ExperimentReport("evolution_r0_sweep", columns, rows, config.to_dict(),
+                            _provenance(config))
 
-    raise ValueError(f"{config.experiment!r} is not an evolution experiment")
+
+def run_ratio_check(config: ExperimentConfig) -> ExperimentReport:
+    """Squeezed (r0 = 1.5) over coherent input purity at gamma*t = 1, in closed form.
+
+    The bath is the config bath (default N = 1 thermal).
+    """
+    bath = validate_bath(config.bath or BathParams(N=1.0))
+    t = 1.0 / bath.gamma
+    mu_sq = mu_of_t(GaussianParams(r=1.5), bath, t)
+    mu_coh = mu_of_t(GaussianParams(), bath, t)
+    columns = ["gamma_t", "mu_squeezed", "mu_coherent", "ratio"]
+    rows = [dict(zip(columns, [1.0, mu_sq, mu_coh, mu_sq / mu_coh]))]
+    return ExperimentReport("ratio_check", columns, rows, config.to_dict(),
+                            _provenance(config))
 
 
 _RUNNERS = {"fig_varnx": run_fig_varnx,
             "fig_trequad": run_fig_trequad,
             "fig_varr": run_fig_varr,
             "fig_varnth": run_fig_varnth,
-            "evolution_time": run_evolution,
-            "evolution_r0_sweep": run_evolution,
-            "ratio_check": run_evolution}
+            "evolution_time": run_evolution_time,
+            "evolution_r0_sweep": run_evolution_r0_sweep,
+            "ratio_check": run_ratio_check}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -19,6 +19,7 @@ independent of displacement and squeezing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -217,6 +218,14 @@ def wigner_eval(state: GaussianState, pt: PhasePoint) -> float:
     return float(_wigner_array(state, x, p))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gaussian_weighted_integral(state: GaussianState,
                                integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
                                half_width_sigmas: float = 8.0,
@@ -243,7 +252,7 @@ def gaussian_weighted_integral(state: GaussianState,
     prev = None
     order = start_order
     while order <= max_order:
-        t, w = np.polynomial.legendre.leggauss(order)
+        t, w = _gauss_legendre(order)
         u0 = half[0] * t
         u1 = half[1] * t
         U0, U1 = np.meshgrid(u0, u1, indexing="ij")

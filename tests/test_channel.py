@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausspurity import (BathParams, CovMatrix, GaussianParams, GaussianState,
                          PhysicalityError, Trajectory, UnphysicalBathError,
@@ -298,6 +300,95 @@ class TestOdeIntegration:
             assert dr == pytest.approx(rate, abs=1e-6)
 
 
+def _close_arrays(got, want, rel):
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= rel * np.abs(want)))
+
+
+class TestArrayClosedForms:
+    TIMES = np.concatenate([[0.0], np.logspace(-9, 1.5, 40)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(nbar=st.floats(0.0, 5.0), r=st.floats(0.0, 3.0),
+           phi=st.floats(0.0, math.pi), gamma=st.floats(0.1, 5.0),
+           n_bath=st.floats(0.0, 3.0), m_frac=st.floats(0.0, 1.0),
+           m_angle=st.floats(0.0, 2.0 * math.pi))
+    def test_array_matches_scalar(self, nbar, r, phi, gamma, n_bath, m_frac, m_angle):
+        mabs = m_frac * math.sqrt(n_bath * (n_bath + 1.0))
+        bath = BathParams(gamma=gamma, N=n_bath, M1=mabs * math.cos(m_angle),
+                          M2=mabs * math.sin(m_angle))
+        p = GaussianParams(nbar=nbar, r=r, phi=phi)
+        ts = self.TIMES / gamma
+        for fn in (mu_of_t, r_of_t, phi_of_t):
+            arr = fn(p, bath, ts)
+            assert isinstance(arr, np.ndarray) and arr.shape == ts.shape
+            scal = [fn(p, bath, float(t)) for t in ts]
+            assert all(type(v) is float for v in scal)
+            if fn is phi_of_t:
+                # the angle is taken mod pi: compare on the circle
+                d = (arr - np.asarray(scal) + math.pi / 2) % math.pi - math.pi / 2
+                assert np.all(np.abs(d) <= 1e-14 * math.pi)
+            else:
+                assert _close_arrays(arr, scal, 1e-14)
+
+    def test_squeezed_bath_and_t0(self):
+        p = GaussianParams(nbar=0.5, r=1.5, phi=math.pi / 4)
+        ts = np.array([0.0, 0.3, 2.0])
+        assert _close_arrays(mu_of_t(p, SQUEEZED_BATH, ts),
+                             [mu_of_t(p, SQUEEZED_BATH, t) for t in ts], 1e-14)
+        assert mu_of_t(p, SQUEEZED_BATH, ts)[0] == pytest.approx(p.mu, rel=1e-15)
+        assert r_of_t(p, SQUEEZED_BATH, ts)[0] == pytest.approx(1.5, rel=1e-15)
+        assert phi_of_t(p, SQUEEZED_BATH, ts)[0] == pytest.approx(math.pi / 4, rel=1e-15)
+
+    def test_negative_time_rejected(self):
+        for fn in (mu_of_t, r_of_t, phi_of_t):
+            with pytest.raises(ValueError):
+                fn(GaussianParams(), THERMAL_BATH, np.array([0.0, -1e-3]))
+            with pytest.raises(ValueError):
+                fn(GaussianParams(), THERMAL_BATH, -1.0)
+
+    def test_bath_validated_for_arrays(self):
+        with pytest.raises(UnphysicalBathError):
+            mu_of_t(GaussianParams(), BathParams(N=1.0, M1=1.5), np.array([0.0, 1.0]))
+
+
+class TestSqueezingPrecision:
+    """r(t) against sigma(t) evolved in 50-digit arithmetic."""
+
+    BATH = (1.0, 1.0, 0.5, 0.3)
+    GT = (1e-9, 1e-6, 1e-3, 0.5, 3.0, 30.0)
+
+    @staticmethod
+    def reference_r(mpmath, p, bath, gt):
+        _, n_bath, m1, m2 = (mpmath.mpf(v) for v in bath)
+        c = (2 * mpmath.mpf(p.nbar) + 1) / 2
+        ch, sh = mpmath.cosh(2 * mpmath.mpf(p.r)), mpmath.sinh(2 * mpmath.mpf(p.r))
+        c2, s2 = mpmath.cos(2 * mpmath.mpf(p.phi)), mpmath.sin(2 * mpmath.mpf(p.phi))
+        sigma0 = (c * (ch - sh * c2), c * (ch + sh * c2), c * sh * s2)
+        half = (2 * n_bath + 1) / 2
+        eta = mpmath.exp(-mpmath.mpf(gt))
+        sxx, spp, sxp = (a * (1 - eta) + b * eta for a, b in
+                         zip((half + m1, half - m1, m2), sigma0))
+        # a quarter of the log-ratio of the eigenvalues
+        gap = mpmath.sqrt(((sxx - spp) / 2) ** 2 + sxp * sxp)
+        mid = (sxx + spp) / 2
+        return mpmath.log((mid + gap) / (mid - gap)) / 4
+
+    @pytest.mark.parametrize("p", [GaussianParams(),
+                                   GaussianParams(nbar=1.5),
+                                   GaussianParams(nbar=0.3, r=0.8, phi=0.3)],
+                             ids=["coherent", "thermal", "squeezed"])
+    def test_r_of_t_matches_mpmath(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        bath = BathParams(*self.BATH)
+        rs = r_of_t(p, bath, np.array(self.GT))
+        for gt, r in zip(self.GT, rs):
+            ref = float(self.reference_r(mpmath, p, self.BATH, gt))
+            assert abs(r - ref) <= 1e-12 * ref, (gt, r, ref)
+            assert r_of_t(p, bath, gt) == pytest.approx(ref, rel=1e-12)
+
+
 class TestTrajectory:
     def test_columns_and_values(self, tmp_path):
         times = [0.0, 0.5, 1.0, 2.0]
@@ -318,3 +409,35 @@ class TestTrajectory:
         bad = GaussianState(cov=CovMatrix(sxx=0.1, spp=0.1, sxp=0.0))
         with pytest.raises(PhysicalityError):
             evolve_cov(bad, THERMAL_BATH, 1.0)
+
+    def test_states_match_evolve_cov(self):
+        p = GaussianParams(x0=1.0, p0=-0.5, nbar=0.3, r=1.2, phi=0.4)
+        times = [0.0, 0.25, 1.0, 4.0]
+        traj = trajectory(p, SQUEEZED_BATH, times)
+        states = traj.states
+        assert len(states) == len(times)
+        initial = GaussianState.from_params(p)
+        for t, s in zip(times, states):
+            assert isinstance(s, GaussianState)
+            assert all(type(v) is float for v in
+                       (s.cov.sxx, s.cov.spp, s.cov.sxp, s.x0, s.p0))
+            ref = evolve_cov(initial, SQUEEZED_BATH, t)
+            assert s.cov.sxx == pytest.approx(ref.cov.sxx, rel=1e-14)
+            assert s.cov.spp == pytest.approx(ref.cov.spp, rel=1e-14)
+            assert s.cov.sxp == pytest.approx(ref.cov.sxp, rel=1e-14)
+            assert (s.x0, s.p0) == pytest.approx((ref.x0, ref.p0), rel=1e-14)
+        with pytest.raises(AttributeError):
+            traj.states = []
+
+    def test_csv_rows_are_float_reprs(self, tmp_path):
+        times = [0.0, 0.5, 1.0]
+        traj = trajectory(GaussianParams(x0=1.0, nbar=0.2, r=0.7, phi=0.3),
+                          SQUEEZED_BATH, times)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + len(times)
+        for line, gt, mu, r, phi, s in zip(lines[1:], traj.times, traj.mus,
+                                           traj.rs, traj.phis, traj.states):
+            values = [gt, mu, r, phi, s.cov.sxx, s.cov.spp, s.cov.sxp, s.x0, s.p0]
+            assert line == ",".join(repr(float(v)) for v in values)

@@ -118,6 +118,22 @@ class TestPurityFromQ:
             hits += est.ci_low <= mu_true <= est.ci_high
         assert 0.60 <= hits / trials <= 0.76
 
+    def test_parametric_bootstrap_fits_covariance_once(self, monkeypatch):
+        batch = sample_q(SQUEEZED, 5_000, seed=15)
+        before = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
+        calls = []
+        real_cov = np.cov
+
+        def counting_cov(*args, **kwargs):
+            calls.append(1)
+            return real_cov(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cov", counting_cov)
+        after = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
+        assert len(calls) == 1
+        assert after == before
+        assert after.mu_hat == purity_from_moments(moments_from_q(batch))
+
     def test_unknown_bootstrap_rejected(self):
         batch = sample_q(SQUEEZED, 1_000, seed=16)
         with pytest.raises(ValueError, match="bootstrap"):

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from gausspurity import (ExperimentConfig, GaussianParams, QSampleBatch,
-                         emit, run_experiment)
+import gausspurity.experiments as experiments
+from gausspurity import (BathParams, ExperimentConfig, GaussianParams,
+                         GaussianState, QSampleBatch, cov_from_params, emit,
+                         integrate_cov_ode, purity, run_experiment)
 from gausspurity.cli import main
+from gausspurity.experiments import DEFAULT_T_GRID, EVOLUTION_INPUTS, ODE_ORACLE_STEP
 from gausspurity.sampling import read_homodyne_batches
 
 SMALL_N_GRID = [300, 1_000, 3_000]
@@ -89,6 +92,61 @@ class TestRunners:
             assert a["mu"] >= b["mu"] - 1e-12
             assert a["mu"] >= c["mu"] - 1e-12
         assert all(row["ode_residual"] < 1e-8 for row in report.rows)
+
+    def test_chained_oracle_matches_oracle_from_zero(self):
+        bath = BathParams(gamma=1.0, N=1.0, M1=0.5, M2=0.3)
+        params = GaussianParams(x0=1.0, p0=-0.5, nbar=0.2, r=1.5, phi=0.4)
+        chained, t_prev = GaussianState.from_params(params), 0.0
+        for t in DEFAULT_T_GRID:
+            chained = integrate_cov_ode(chained, bath, t - t_prev, step=ODE_ORACLE_STEP)
+            t_prev = t
+            ref = integrate_cov_ode(GaussianState.from_params(params), bath, t,
+                                    step=ODE_ORACLE_STEP)
+            for got, want in ((chained.cov.sxx, ref.cov.sxx), (chained.cov.spp, ref.cov.spp),
+                              (chained.cov.sxp, ref.cov.sxp), (chained.x0, ref.x0),
+                              (chained.p0, ref.p0)):
+                assert got == pytest.approx(want, abs=1e-12)
+
+    def test_evolution_time_residual_is_oracle_from_zero(self):
+        bath = BathParams(gamma=2.0, N=0.5, M1=0.2, M2=-0.1)
+        t_grid = [0.0, 0.1, 0.5, 1.3, 2.0]
+        report = run_experiment(ExperimentConfig(
+            experiment="evolution_time", bath=bath, t_grid=t_grid))
+        inputs = dict(EVOLUTION_INPUTS)
+        assert len(report.rows) == len(inputs) * len(t_grid)
+        for row in report.rows:
+            params = inputs[row["input"]]
+            ref = integrate_cov_ode(GaussianState.from_params(params), bath,
+                                    row["gamma_t"] / bath.gamma, step=ODE_ORACLE_STEP)
+            assert row["ode_residual"] == pytest.approx(
+                abs(row["mu"] - purity(ref.cov)), abs=1e-12)
+            assert all(type(row[k]) is float for k in ("gamma_t", "mu", "r", "phi",
+                                                       "ode_residual"))
+
+    def test_varnth_honours_explicit_squeezing(self, monkeypatch):
+        assert ExperimentConfig(experiment="fig_varnth").state.r == 1.0
+        sampled = []
+        real_sample_q = experiments.sample_q
+
+        def recording_sample_q(state, n, rng):
+            sampled.append(state.cov)
+            return real_sample_q(state, n, rng)
+
+        monkeypatch.setattr(experiments, "sample_q", recording_sample_q)
+        nbar_grid = [0.0, 1.0]
+        config = ExperimentConfig(experiment="fig_varnth", nbar_grid=nbar_grid,
+                                  state=GaussianParams(nbar=0.5, r=1.5),
+                                  trials=2, seed=5)
+        report = run_experiment(config)
+        assert report.config["state"]["r"] == 1.5
+        assert [row["nbar"] for row in report.rows] == nbar_grid
+        assert [row["mu_true"] for row in report.rows] == pytest.approx([1.0, 1 / 3])
+        expected = [cov_from_params(GaussianParams(nbar=nb, r=1.5))
+                    for nb in nbar_grid for _ in range(2)]
+        assert sampled == expected
+        default = run_experiment(ExperimentConfig(
+            experiment="fig_varnth", nbar_grid=nbar_grid, trials=2, seed=5))
+        assert default.rows != report.rows
 
     def test_evolution_r0_sweep_monotone(self):
         report = run_experiment(ExperimentConfig(

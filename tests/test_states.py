@@ -9,6 +9,7 @@ from gausspurity import (CovMatrix, CoverageError, GaussianParams,
                          linear_entropy, params_from_cov, purity,
                          purity_by_phase_space_integral, purity_from_nbar,
                          seralian, wigner_eval)
+from gausspurity.states import _gauss_legendre
 
 I2 = np.eye(2)
 A2 = np.diag([1.0, -1.0])
@@ -182,6 +183,17 @@ class TestPhaseSpaceIntegral:
         with pytest.raises(CoverageError):
             purity_by_phase_space_integral(GaussianState.vacuum(),
                                            half_width_sigmas=4.0)
+
+    def test_cached_quadrature_rule_is_read_only(self):
+        nodes, weights = _gauss_legendre(40)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(40)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+        assert _gauss_legendre(40)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
 
 
 def _seralian_integrand(state, gamma):
