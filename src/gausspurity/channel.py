@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalBathError, UnsupportedConditionError
-from .states import CovMatrix, GaussianParams, GaussianState
-
-_R_EPS = 1e-12
+from .states import _R_EPS, CovMatrix, GaussianParams, GaussianState
 
 
 @dataclass(frozen=True)

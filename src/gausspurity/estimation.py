@@ -130,18 +130,20 @@ def _bootstrap_q(pairs: np.ndarray, resamples: int, rng: np.random.Generator) ->
     # gathering from contiguous copies, not strided column views, halves the
     # memory the random reads span
     x, p = np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+    sizes = _chunk_sizes(resamples, n)
+    # every chunk reuses the same (k, n) work arrays; only idx is allocated anew
+    work = np.empty((3, max(sizes, default=0), n))
     out = []
-    left = resamples
-    chunk = max(1, _BOOT_CHUNK_ELEMS // n)
-    while left > 0:
-        k = min(chunk, left)
-        left -= k
+    for k in sizes:
         idx = rng.integers(0, n, size=(k, n))
-        xs, ps = x[idx], p[idx]
+        xs, ps, sq = work[:, :k]
+        np.take(x, idx, out=xs, mode="clip")    # "clip" is unbuffered; idx is in range
+        np.take(p, idx, out=ps, mode="clip")
+        del idx                     # freed before the next chunk draws its own
         mx, mp = xs.mean(axis=1), ps.mean(axis=1)
-        sxx = ((xs * xs).sum(axis=1) - n * mx * mx) / (n - 1) - 0.5
-        spp = ((ps * ps).sum(axis=1) - n * mp * mp) / (n - 1) - 0.5
-        sxp = ((xs * ps).sum(axis=1) - n * mx * mp) / (n - 1)
+        sxx = (np.multiply(xs, xs, out=sq).sum(axis=1) - n * mx * mx) / (n - 1) - 0.5
+        spp = (np.multiply(ps, ps, out=sq).sum(axis=1) - n * mp * mp) / (n - 1) - 0.5
+        sxp = (np.multiply(xs, ps, out=sq).sum(axis=1) - n * mx * mp) / (n - 1)
         out.append(_q_purities(sxx, spp, sxp))
     return np.concatenate(out)
 
@@ -170,9 +172,21 @@ def _parametric_q(q_cov: np.ndarray, n: int, resamples: int,
 _Q_BOOTSTRAPS = ("nonparametric", "parametric")
 
 
-def _percentile_ci(samples: np.ndarray, point: float, level: float):
-    lo, hi = np.quantile(samples, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return min(float(lo), point), max(float(hi), point)
+def _chunk_sizes(resamples: int, n: int) -> list:
+    """Bootstrap chunk sizes: at most _BOOT_CHUNK_ELEMS // n resamples each."""
+    chunk = max(1, _BOOT_CHUNK_ELEMS // n)
+    return [min(chunk, resamples - start) for start in range(0, resamples, chunk)]
+
+
+def _bootstrap_estimate(point, mus, resamples, level, n, method, bootstrap):
+    """The point with the percentile interval of the physical resamples around it."""
+    if mus.size < max(2, resamples // 2):
+        raise DegenerateSampleError(
+            f"only {mus.size}/{resamples} bootstrap resamples were physical")
+    lo, hi = np.quantile(mus, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    return PurityEstimate(mu_hat=point, ci_low=min(float(lo), point),
+                          ci_high=max(float(hi), point), level=level, n=n,
+                          method=method, bootstrap=bootstrap, resamples_used=mus.size)
 
 
 def purity_from_q(batch: QSampleBatch, resamples: int = 400,
@@ -199,13 +213,8 @@ def purity_from_q(batch: QSampleBatch, resamples: int = 400,
         mus = _parametric_q(q_cov, batch.n, resamples, rng)
     else:
         mus = _bootstrap_q(batch.pairs, resamples, rng)
-    if mus.size < max(2, resamples // 2):
-        raise DegenerateSampleError(
-            f"only {mus.size}/{resamples} bootstrap resamples were physical")
-    lo, hi = _percentile_ci(mus, point, level)
-    return PurityEstimate(mu_hat=point, ci_low=lo, ci_high=hi, level=level,
-                          n=batch.n, method=EstimationMethod.Q_JOINT,
-                          bootstrap=bootstrap, resamples_used=mus.size)
+    return _bootstrap_estimate(point, mus, resamples, level, batch.n,
+                               EstimationMethod.Q_JOINT, bootstrap)
 
 
 def purity_from_three_quadratures(var0: float, var45: float, var90: float) -> float:
@@ -254,25 +263,13 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
     point = purity_from_three_quadratures(v0, v45, v90)
     rng = make_rng(seed)
     mus = []
-    left = resamples
-    chunk = max(1, _BOOT_CHUNK_ELEMS // max(b0.n, b45.n, b90.n))
-    while left > 0:
-        k = min(chunk, left)
-        left -= k
-        w0 = _bootstrap_vars(b0.values, k, rng)
-        w45 = _bootstrap_vars(b45.values, k, rng)
-        w90 = _bootstrap_vars(b90.values, k, rng)
+    for k in _chunk_sizes(resamples, max(b0.n, b45.n, b90.n)):
+        w0, w45, w90 = (_bootstrap_vars(b.values, k, rng) for b in (b0, b45, b90))
         bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
         mus.append(bracket[bracket > 0] ** -0.5)
     mus = np.concatenate(mus)
-    if mus.size < max(2, resamples // 2):
-        raise DegenerateSampleError(
-            f"only {mus.size}/{resamples} bootstrap resamples were physical")
-    lo, hi = _percentile_ci(mus, point, level)
-    return PurityEstimate(mu_hat=point, ci_low=lo, ci_high=hi, level=level,
-                          n=b0.n + b45.n + b90.n,
-                          method=EstimationMethod.THREE_QUADRATURE,
-                          bootstrap="nonparametric", resamples_used=mus.size)
+    return _bootstrap_estimate(point, mus, resamples, level, b0.n + b45.n + b90.n,
+                               EstimationMethod.THREE_QUADRATURE, "nonparametric")
 
 
 @dataclass(frozen=True)
@@ -300,28 +297,49 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     mu_true = purity(state.cov)
-    children = iter(np.random.SeedSequence(seed).spawn(len(n_grid) * trials))
+    trial = _q_trial if method == EstimationMethod.Q_JOINT else _three_quadrature_trial
     rows = []
-    for n in n_grid:
-        errs = []
-        degenerate = 0
-        for _ in range(trials):
-            rng = np.random.Generator(np.random.Philox(next(children)))
-            try:
-                if method == EstimationMethod.Q_JOINT:
-                    est = purity_from_moments(moments_from_q(sample_q(state, n, rng)))
-                else:
-                    m = max(2, n // 3)
-                    v = [float(np.var(sample_homodyne(state, th, m, rng).values, ddof=1))
-                         for th in THREE_QUADRATURE_PHASES]
-                    est = purity_from_three_quadratures(*v)
-            except DegenerateSampleError:
-                degenerate += 1
-                continue
-            errs.append(abs(est - mu_true) / mu_true)
-        errs = np.asarray(errs)
+    for n, (estimates, _, degenerate) in zip(
+            n_grid, _monte_carlo([(state, n) for n in n_grid], trials, seed, trial)):
+        errs = np.abs(estimates - mu_true) / mu_true
         rows.append(SweepRow(n=n,
                              mean_rel_err=float(errs.mean()) if errs.size else math.nan,
                              std_rel_err=float(errs.std(ddof=1)) if errs.size > 1 else math.nan,
                              n_degenerate=degenerate))
     return rows
+
+
+def _q_trial(state: GaussianState, n: int, rng: np.random.Generator):
+    """Q-method point estimate from n fresh pairs; no interval."""
+    batch = sample_q(state, n, rng)
+    return purity_from_moments(moments_from_q(batch)), (math.nan, math.nan)
+
+
+def _three_quadrature_trial(state: GaussianState, n: int, rng: np.random.Generator):
+    """Three-quadrature point estimate from a budget of n, max(2, n//3) per phase."""
+    m = max(2, n // 3)
+    v = [float(np.var(sample_homodyne(state, th, m, rng).values, ddof=1))
+         for th in THREE_QUADRATURE_PHASES]
+    return purity_from_three_quadratures(*v), (math.nan, math.nan)
+
+
+def _monte_carlo(points, trials: int, seed, trial) -> list:
+    """Seeded Monte Carlo simulated experiment: (estimates, cis, n_degenerate) per point.
+
+    Trial j at point i runs trial(state, n, rng) -> (mu_hat, (ci_low, ci_high))
+    on its own Philox stream, child i*trials + j of SeedSequence(seed).  A
+    trial that raises DegenerateSampleError is counted, not kept.
+    """
+    children = iter(np.random.SeedSequence(seed).spawn(len(points) * trials))
+    results = []
+    for state, n in points:
+        kept, degenerate = [], 0
+        for _ in range(trials):
+            rng = np.random.Generator(np.random.Philox(next(children)))
+            try:
+                kept.append(trial(state, n, rng))
+            except DegenerateSampleError:
+                degenerate += 1
+        results.append((np.array([mu for mu, _ in kept], dtype=float),
+                        [ci for _, ci in kept], degenerate))
+    return results

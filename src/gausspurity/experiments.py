@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,11 +21,9 @@ import numpy as np
 from . import __version__
 from .channel import (BathParams, GaussianParams, integrate_cov_ode, mu_of_t,
                       trajectory, validate_bath)
-from .errors import DegenerateSampleError
-from .estimation import (THREE_QUADRATURE_PHASES, moments_from_q,
-                         purity_from_moments, purity_from_q,
-                         purity_from_three_quadratures)
-from .sampling import sample_homodyne, sample_q
+from .estimation import (_monte_carlo, _q_trial, _three_quadrature_trial,
+                         purity_from_q)
+from .sampling import sample_q
 from .states import GaussianState, purity
 
 EXPERIMENTS = ("fig_varnx", "fig_trequad", "fig_varr", "fig_varnth",
@@ -130,61 +128,58 @@ def _provenance(config: ExperimentConfig) -> dict:
     return {"library_version": __version__, "seed": config.seed}
 
 
-def _trial_rngs(config: ExperimentConfig, grid_len: int):
-    children = np.random.SeedSequence(config.seed).spawn(grid_len * config.trials)
-    rngs = [np.random.Generator(np.random.Philox(c)) for c in children]
-    return [rngs[i * config.trials:(i + 1) * config.trials]
-            for i in range(grid_len)]
+# How far a figure's estimates sit from mu_true: its last column.
+_DEVIATIONS = {"rel_err": lambda est, mu: float(np.mean(np.abs(est - mu) / mu)),
+               "bias": lambda est, mu: float(est.mean()) - mu}
 
 
-def _summarize(estimates, cis):
-    """Point value and error bars for one grid point.
+def _figure(config, name, grid, points, trial, last_column) -> ExperimentReport:
+    """Monte Carlo figure report: one row per point, keyed by grid = (column, values).
 
-    trials = 1: the bootstrap CI of the single estimate.
-    trials > 1: mean +/- across-trial standard deviation.
+    Error bars are the trial's own interval when one estimate survives (the
+    bootstrap CI at trials = 1), else mean +/- across-trial standard
+    deviation.  A point whose every trial is degenerate gives NaN.
     """
-    est = np.asarray(estimates)
-    if est.size == 1:
-        if cis:
-            return float(est[0]), cis[0][0], cis[0][1]
-        return float(est[0]), math.nan, math.nan
-    m, s = float(est.mean()), float(est.std(ddof=1))
-    return m, m - s, m + s
+    column, values = grid
+    columns = [column, "mu_hat", "err_low", "err_high", "mu_true", last_column,
+               "n_degenerate"]
+    rows = []
+    for value, (state, _), (est, cis, degenerate) in zip(
+            values, points, _monte_carlo(points, config.trials, config.seed, trial)):
+        mu_true = purity(state.cov)
+        if est.size == 0:
+            mu_hat = lo = hi = deviation = math.nan
+        else:
+            if est.size == 1:
+                mu_hat, (lo, hi) = float(est[0]), cis[0]
+            else:
+                mu_hat, s = float(est.mean()), float(est.std(ddof=1))
+                lo, hi = mu_hat - s, mu_hat + s
+            deviation = _DEVIATIONS[last_column](est, mu_true)
+        rows.append(dict(zip(columns, [value, mu_hat, lo, hi, mu_true, deviation,
+                                       degenerate])))
+    return ExperimentReport(name, columns, rows, config.to_dict(), _provenance(config))
+
+
+def _q_trial_for(config: ExperimentConfig):
+    """Q-method trial: a parametric-bootstrap CI at one trial, else the point estimate."""
+    if config.trials > 1:
+        return _q_trial
+
+    def trial(state, n, rng):
+        pe = purity_from_q(sample_q(state, n, rng), resamples=config.resamples,
+                           level=config.level, seed=rng, bootstrap="parametric")
+        return pe.mu_hat, (pe.ci_low, pe.ci_high)
+
+    return trial
 
 
 def run_fig_varnx(config: ExperimentConfig) -> ExperimentReport:
     """Q-method purity estimate versus the number of data."""
-    n_grid = config.n_grid or DEFAULT_N_GRID
+    n_grid = [int(n) for n in config.n_grid or DEFAULT_N_GRID]
     state = GaussianState.from_params(config.state)
-    mu_true = purity(state.cov)
-    columns = ["n", "mu_hat", "err_low", "err_high", "mu_true", "rel_err",
-               "n_degenerate"]
-    rows = []
-    for n, rngs in zip(n_grid, _trial_rngs(config, len(n_grid))):
-        estimates, cis = [], []
-        degenerate = 0
-        for rng in rngs:
-            batch = sample_q(state, int(n), rng)
-            try:
-                if config.trials == 1:
-                    pe = purity_from_q(batch, resamples=config.resamples,
-                                       level=config.level, seed=rng,
-                                       bootstrap="parametric")
-                    estimates.append(pe.mu_hat)
-                    cis.append((pe.ci_low, pe.ci_high))
-                else:
-                    estimates.append(purity_from_moments(moments_from_q(batch)))
-            except DegenerateSampleError:
-                degenerate += 1
-        if estimates:
-            mu_hat, lo, hi = _summarize(estimates, cis)
-            rel = float(np.mean([abs(e - mu_true) / mu_true for e in estimates]))
-        else:
-            mu_hat = lo = hi = rel = math.nan
-        rows.append(dict(zip(columns, [int(n), mu_hat, lo, hi, mu_true, rel,
-                                       degenerate])))
-    return ExperimentReport("fig_varnx", columns, rows, config.to_dict(),
-                            _provenance(config))
+    return _figure(config, "fig_varnx", ("n", n_grid), [(state, n) for n in n_grid],
+                   _q_trial_for(config), "rel_err")
 
 
 def run_fig_trequad(config: ExperimentConfig) -> ExperimentReport:
@@ -194,88 +189,28 @@ def run_fig_trequad(config: ExperimentConfig) -> ExperimentReport:
     Degenerate trials are flagged in their own column, never dropped
     silently.
     """
-    n_grid = config.n_grid or DEFAULT_N_GRID
+    n_grid = [int(n) for n in config.n_grid or DEFAULT_N_GRID]
     state = GaussianState.from_params(config.state)
-    mu_true = purity(state.cov)
-    columns = ["n", "mu_hat", "err_low", "err_high", "mu_true", "bias",
-               "n_degenerate"]
-    rows = []
-    for n, rngs in zip(n_grid, _trial_rngs(config, len(n_grid))):
-        m = max(2, int(n) // 3)
-        estimates, cis = [], []
-        degenerate = 0
-        for rng in rngs:
-            batches = [sample_homodyne(state, th, m, rng)
-                       for th in THREE_QUADRATURE_PHASES]
-            try:
-                variances = [float(np.var(b.values, ddof=1)) for b in batches]
-                estimates.append(purity_from_three_quadratures(*variances))
-                cis.append((math.nan, math.nan))
-            except DegenerateSampleError:
-                degenerate += 1
-        if estimates:
-            mu_hat, lo, hi = _summarize(estimates, cis)
-            bias = float(np.mean(estimates)) - mu_true
-        else:
-            mu_hat = lo = hi = bias = math.nan
-        rows.append(dict(zip(columns, [int(n), mu_hat, lo, hi, mu_true, bias,
-                                       degenerate])))
-    return ExperimentReport("fig_trequad", columns, rows, config.to_dict(),
-                            _provenance(config))
-
-
-def _q_sweep(config: ExperimentConfig, grid, grid_name, make_state, n_data):
-    columns = [grid_name, "mu_hat", "err_low", "err_high", "mu_true",
-               "rel_err", "n_degenerate"]
-    rows = []
-    for value, rngs in zip(grid, _trial_rngs(config, len(grid))):
-        state = GaussianState.from_params(make_state(value))
-        mu_true = purity(state.cov)
-        estimates, cis = [], []
-        degenerate = 0
-        for rng in rngs:
-            batch = sample_q(state, n_data, rng)
-            try:
-                if config.trials == 1:
-                    pe = purity_from_q(batch, resamples=config.resamples,
-                                       level=config.level, seed=rng,
-                                       bootstrap="parametric")
-                    estimates.append(pe.mu_hat)
-                    cis.append((pe.ci_low, pe.ci_high))
-                else:
-                    estimates.append(purity_from_moments(moments_from_q(batch)))
-            except DegenerateSampleError:
-                degenerate += 1
-        if estimates:
-            mu_hat, lo, hi = _summarize(estimates, cis)
-            rel = float(np.mean([abs(e - mu_true) / mu_true for e in estimates]))
-        else:
-            mu_hat = lo = hi = rel = math.nan
-        rows.append(dict(zip(columns, [float(value), mu_hat, lo, hi, mu_true,
-                                       rel, degenerate])))
-    return columns, rows
+    return _figure(config, "fig_trequad", ("n", n_grid), [(state, n) for n in n_grid],
+                   _three_quadrature_trial, "bias")
 
 
 def run_fig_varr(config: ExperimentConfig) -> ExperimentReport:
     """Q-method estimate versus squeezing at fixed nbar, N_x = 3*10^4."""
-    grid = config.r_grid or DEFAULT_R_GRID
-    base = config.state
-    make = lambda r: GaussianParams(x0=base.x0, p0=base.p0, nbar=base.nbar,
-                                    r=float(r), phi=base.phi)
-    columns, rows = _q_sweep(config, grid, "r", make, VARR_N)
-    return ExperimentReport("fig_varr", columns, rows, config.to_dict(),
-                            _provenance(config))
+    grid = [float(r) for r in config.r_grid or DEFAULT_R_GRID]
+    points = [(GaussianState.from_params(replace(config.state, r=r)), VARR_N)
+              for r in grid]
+    return _figure(config, "fig_varr", ("r", grid), points, _q_trial_for(config),
+                   "rel_err")
 
 
 def run_fig_varnth(config: ExperimentConfig) -> ExperimentReport:
     """Q-method estimate versus nbar at the state's squeezing, N_x = 10^4."""
-    grid = config.nbar_grid or DEFAULT_NBAR_GRID
-    base = config.state
-    make = lambda nb: GaussianParams(x0=base.x0, p0=base.p0, nbar=float(nb),
-                                     r=base.r, phi=base.phi)
-    columns, rows = _q_sweep(config, grid, "nbar", make, VARNTH_N)
-    return ExperimentReport("fig_varnth", columns, rows, config.to_dict(),
-                            _provenance(config))
+    grid = [float(nb) for nb in config.nbar_grid or DEFAULT_NBAR_GRID]
+    points = [(GaussianState.from_params(replace(config.state, nbar=nb)), VARNTH_N)
+              for nb in grid]
+    return _figure(config, "fig_varnth", ("nbar", grid), points, _q_trial_for(config),
+                   "rel_err")
 
 
 def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:

@@ -61,8 +61,7 @@ class QSampleBatch:
         return self.pairs[:, 1]
 
     def to_csv(self, path):
-        np.savetxt(path, self.pairs, delimiter=",", header=CSV_Q_HEADER,
-                   comments="", fmt="%.17g")
+        _write_csv(path, CSV_Q_HEADER, self.pairs)
 
     @classmethod
     def from_csv(cls, path) -> "QSampleBatch":
@@ -90,8 +89,7 @@ class HomodyneBatch:
 
     def to_csv(self, path):
         rows = np.column_stack([np.full(self.n, self.theta), self.values])
-        np.savetxt(path, rows, delimiter=",", header=CSV_HOMODYNE_HEADER,
-                   comments="", fmt="%.17g")
+        _write_csv(path, CSV_HOMODYNE_HEADER, rows)
 
     @classmethod
     def from_csv(cls, path) -> "HomodyneBatch":
@@ -115,8 +113,12 @@ def write_homodyne_batches(batches, path):
     """Write several homodyne batches into one mixed-phase CSV."""
     rows = np.vstack([np.column_stack([np.full(b.n, b.theta), b.values])
                       for b in batches])
-    np.savetxt(path, rows, delimiter=",", header=CSV_HOMODYNE_HEADER,
-               comments="", fmt="%.17g")
+    _write_csv(path, CSV_HOMODYNE_HEADER, rows)
+
+
+def _write_csv(path, header: str, rows: np.ndarray):
+    """The record CSV format: a header line, then rows of %.17g fields."""
+    np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def q_covariance(state: GaussianState) -> np.ndarray:

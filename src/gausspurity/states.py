@@ -154,20 +154,17 @@ def cov_from_params(params: GaussianParams) -> CovMatrix:
 def params_from_cov(state: GaussianState) -> GaussianParams:
     """Invert cov_from_params.
 
-    nbar comes from det(sigma) = (2*nbar+1)^2/4, r from
-    Tr(sigma) = (2*nbar+1)*cosh(2r), and phi from the two-argument
-    arctangent of (2*sigma_xp, sigma_pp - sigma_xx), which resolves the
-    quadrant ambiguity of the tangent.
+    nbar comes from det(sigma) = (2*nbar+1)^2/4, r from the anisotropy
+    hypot(sigma_xx - sigma_pp, 2*sigma_xp) = (2*nbar+1)*sinh(2r) through
+    asinh, which keeps its digits as r -> 0 where acosh of the trace would
+    not, and phi from the two-argument arctangent of
+    (2*sigma_xp, sigma_pp - sigma_xx), which resolves the quadrant
+    ambiguity of the tangent.
     """
     cov = state.cov.require_physical()
     mu = 1.0 / (2.0 * math.sqrt(cov.det))
     nbar = max(0.0, (1.0 / mu - 1.0) / 2.0)
-    ch2r = (cov.sxx + cov.spp) * mu
-    if ch2r < 1.0:
-        if ch2r < 1.0 - 1e-12:
-            raise PhysicalityError(f"inconsistent covariance: Tr*mu = {ch2r} < 1")
-        ch2r = 1.0
-    r = 0.5 * math.acosh(ch2r)
+    r = 0.5 * math.asinh(mu * math.hypot(cov.sxx - cov.spp, 2.0 * cov.sxp))
     if r < _R_EPS:
         return GaussianParams(x0=state.x0, p0=state.p0, nbar=nbar)
     phi = 0.5 * math.atan2(2.0 * cov.sxp, cov.spp - cov.sxx)

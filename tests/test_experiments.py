@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import gausspurity.experiments as experiments
+import gausspurity.estimation as estimation
 from gausspurity import (BathParams, ExperimentConfig, GaussianParams,
                          GaussianState, QSampleBatch, cov_from_params, emit,
                          integrate_cov_ode, purity, run_experiment)
@@ -126,13 +126,13 @@ class TestRunners:
     def test_varnth_honours_explicit_squeezing(self, monkeypatch):
         assert ExperimentConfig(experiment="fig_varnth").state.r == 1.0
         sampled = []
-        real_sample_q = experiments.sample_q
+        real_sample_q = estimation.sample_q
 
         def recording_sample_q(state, n, rng):
             sampled.append(state.cov)
             return real_sample_q(state, n, rng)
 
-        monkeypatch.setattr(experiments, "sample_q", recording_sample_q)
+        monkeypatch.setattr(estimation, "sample_q", recording_sample_q)
         nbar_grid = [0.0, 1.0]
         config = ExperimentConfig(experiment="fig_varnth", nbar_grid=nbar_grid,
                                   state=GaussianParams(nbar=0.5, r=1.5),

@@ -91,6 +91,23 @@ class TestParamsFromCov:
         with pytest.raises(PhysicalityError):
             params_from_cov(GaussianState(cov=CovMatrix(0.3, 0.3, 0.0)))
 
+    def test_squeezing_matches_mpmath(self):
+        """r of the float entries, against 50-digit arithmetic, down to r = 1e-9."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for nbar in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
+                for r in (1e-9, 1e-6, 1e-3, 3.0):
+                    for phi in (0.0, 0.4, math.pi / 4, 2.5):
+                        state = GaussianState.from_params(
+                            GaussianParams(nbar=nbar, r=r, phi=phi))
+                        sxx, spp, sxp = (mpmath.mpf(v) for v in
+                                         (state.cov.sxx, state.cov.spp, state.cov.sxp))
+                        mu = 1 / (2 * mpmath.sqrt(sxx * spp - sxp * sxp))
+                        ref = mpmath.asinh(mu * mpmath.sqrt((sxx - spp) ** 2
+                                                            + 4 * sxp * sxp)) / 2
+                        got = params_from_cov(state).r
+                        assert abs(got - ref) <= 1e-12 * ref, (nbar, r, phi, got)
+
 
 class TestPurity:
     def test_vacuum(self):
