@@ -11,14 +11,14 @@ Two estimators are provided:
 
 Uncertainty is quantified by a bootstrap percentile interval (68% by
 default).  The bootstrap resamples the record itself (nonparametric, the
-default, which assumes nothing about the data) or, for records known to be
-Gaussian, draws the resampled Q covariance from its Wishart law
-(parametric, three variates per resample instead of n).  The simulated
-figure runners use the parametric kind; the CLI estimate on a recorded CSV
-stays nonparametric.  Degenerate point estimates -- negative
-determinant or non-positive bracket -- raise DegenerateSampleError rather
-than being clamped, since that unreliability is a real feature of the
-homodyne method at small sample sizes.
+default, which assumes nothing about the data) or, for Gaussian records,
+draws the resampled Q covariance from its Wishart law (parametric, three
+variates per resample instead of n); the simulated figure runners use the
+parametric kind.  A simulated three-quadrature trial draws each sample
+variance from its chi-square law, not from records (sample_homodyne stays
+for the CLI and for callers that want records).  Degenerate point
+estimates -- negative determinant or non-positive bracket -- raise
+DegenerateSampleError instead of being clamped: small-n unreliability is real.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
-from .sampling import HomodyneBatch, QSampleBatch, make_rng, sample_homodyne, sample_q
+from .sampling import HomodyneBatch, QSampleBatch, homodyne_variance, make_rng, sample_q
 from .states import CovMatrix, GaussianState, purity
 
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
@@ -231,13 +231,6 @@ def purity_from_three_quadratures(var0: float, var45: float, var90: float) -> fl
     return bracket**-0.5
 
 
-def _check_phase(batch: HomodyneBatch, expected: float):
-    if abs(batch.theta - expected) > 1e-9:
-        raise ValueError(
-            f"quadrature phase mismatch: expected theta={expected}, "
-            f"got {batch.theta}")
-
-
 def _bootstrap_vars(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = values.size
     idx = rng.integers(0, n, size=(k, n))
@@ -256,7 +249,9 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
     propagates as an error.
     """
     for batch, expected in zip((b0, b45, b90), THREE_QUADRATURE_PHASES):
-        _check_phase(batch, expected)
+        if abs(batch.theta - expected) > 1e-9:
+            raise ValueError(f"quadrature phase mismatch: expected theta={expected}, "
+                             f"got {batch.theta}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     v0, v45, v90 = (float(np.var(b.values, ddof=1)) for b in (b0, b45, b90))
@@ -316,9 +311,14 @@ def _q_trial(state: GaussianState, n: int, rng: np.random.Generator):
 
 
 def _three_quadrature_trial(state: GaussianState, n: int, rng: np.random.Generator):
-    """Three-quadrature point estimate from a budget of n, max(2, n//3) per phase."""
+    """Three-quadrature point estimate from a budget of n, m = max(2, n//3) per phase.
+
+    Each phase draws its sample variance from the law of m Gaussian homodyne
+    values, (u^T sigma u) * chi2_{m-1}/(m-1), instead of the m records.
+    """
+    state.cov.require_physical()
     m = max(2, n // 3)
-    v = [float(np.var(sample_homodyne(state, th, m, rng).values, ddof=1))
+    v = [homodyne_variance(state, th) * rng.chisquare(m - 1) / (m - 1)
          for th in THREE_QUADRATURE_PHASES]
     return purity_from_three_quadratures(*v), (math.nan, math.nan)
 

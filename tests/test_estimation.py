@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gausspurity import (DegenerateSampleError, EstimationMethod,
+import gausspurity
+from gausspurity import (CovMatrix, DegenerateSampleError, EstimationMethod,
                          GaussianParams, GaussianState,
-                         InsufficientDataError, MomentEstimate, QSampleBatch,
+                         InsufficientDataError, MomentEstimate,
+                         PhysicalityError, QSampleBatch,
                          error_scaling_sweep, estimate_purity_homodyne,
                          moments_from_q, purity, purity_from_moments,
                          purity_from_q, purity_from_three_quadratures,
                          sample_homodyne, sample_q)
+from gausspurity.estimation import _monte_carlo, _three_quadrature_trial
 
 SQUEEZED = GaussianState.from_params(GaussianParams(nbar=0.5, r=1.5))
 PHASES = (0.0, math.pi / 4, math.pi / 2)
@@ -301,3 +307,67 @@ class TestErrorScalingSweep:
         with pytest.raises(ValueError):
             error_scaling_sweep(SQUEEZED, EstimationMethod.Q_JOINT,
                                 [100, 100], trials=2, seed=0)
+
+
+def _records_trial(state, n, rng):
+    """The three-quadrature trial computed from m homodyne records per phase."""
+    m = max(2, n // 3)
+    v = [float(np.var(sample_homodyne(state, th, m, rng).values, ddof=1))
+         for th in PHASES]
+    return purity_from_three_quadratures(*v), (math.nan, math.nan)
+
+
+def _quantile_se(x, q):
+    """Distribution-free standard error of the q-quantile of a sample.
+
+    Half the distance between the order statistics N*q -/+ sqrt(N*q*(1-q)),
+    the one-sigma band of the binomial count below the quantile.
+    """
+    x = np.sort(x)
+    k, d = q * (x.size - 1), math.sqrt(x.size * q * (1 - q))
+    return (x[min(x.size - 1, round(k + d))] - x[max(0, round(k - d))]) / 2
+
+
+class TestThreeQuadratureTrialLaw:
+    TRIALS = 4_000
+
+    @pytest.mark.parametrize("nbar, r, n", [(0.5, 1.5, 30),      # ~half degenerate
+                                            (1.5, 0.2, 3_000)])  # none degenerate
+    def test_chi_square_variances_match_records(self, nbar, r, n):
+        state = GaussianState.from_params(GaussianParams(nbar=nbar, r=r, phi=0.4))
+        (mu_rec, _, deg_rec), = _monte_carlo([(state, n)], self.TRIALS, 1,
+                                             _records_trial)
+        (mu_chi, _, deg_chi), = _monte_carlo([(state, n)], self.TRIALS, 2,
+                                             _three_quadrature_trial)
+        p = (deg_rec + deg_chi) / (2 * self.TRIALS)
+        assert abs(deg_rec - deg_chi) <= 5 * math.sqrt(2 * self.TRIALS * p * (1 - p))
+        for q in (0.25, 0.5, 0.75):
+            se = math.hypot(_quantile_se(mu_rec, q), _quantile_se(mu_chi, q))
+            assert abs(np.quantile(mu_rec, q) - np.quantile(mu_chi, q)) <= 5 * se
+
+    def test_unphysical_state_raises_before_drawing(self):
+        state = GaussianState(cov=CovMatrix(sxx=0.4, spp=0.4))     # det 0.16 < 1/4
+        with pytest.raises(PhysicalityError):
+            error_scaling_sweep(state, EstimationMethod.THREE_QUADRATURE, [30],
+                                trials=2, seed=0)
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(PhysicalityError):
+            _three_quadrature_trial(state, 30, rng)
+        # nothing was drawn: the stream is where a fresh one starts
+        assert rng.random() == np.random.Generator(np.random.Philox(0)).random()
+
+
+def test_runtime_imports_no_scipy():
+    """The library, its CLI and a three-quadrature sweep run on numpy alone."""
+    code = ("import sys, gausspurity, gausspurity.cli\n"
+            "from gausspurity import (EstimationMethod, GaussianState,\n"
+            "                         error_scaling_sweep)\n"
+            "error_scaling_sweep(GaussianState.vacuum(),\n"
+            "                    EstimationMethod.THREE_QUADRATURE, [30], 2, 0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gausspurity.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
