@@ -8,10 +8,10 @@ matrix equation
     d(sigma)/dt = gamma * (sigma_inf - sigma),     dX0/dt = -gamma/2 * X0,
 
 whose solution is the convex combination
-sigma(t) = sigma_inf*(1 - e^{-gamma t}) + sigma(0)*e^{-gamma t}.  All
+sigma(t) = sigma_inf*(1 - e^{-gamma t}) + sigma(0)*e^{-gamma t}.  The
 closed forms for purity, squeezing magnitude and squeezing angle along
-the trajectory follow from that combination; a fixed-step Runge-Kutta
-integrator of the same ODE is provided as an independent oracle.
+the trajectory all come from one pass over that combination; a fixed-step
+Runge-Kutta integrator of the same ODE is provided as an independent oracle.
 
 The squeezing angle is recovered with a two-argument arctangent so it
 always matches the angle of sigma(t) itself; the tangent-only asymptotic
@@ -79,8 +79,8 @@ def channel_asymptote(bath: BathParams) -> ChannelAsymptote:
     """Asymptotic (mu, r, phi, nbar) reached by every input state."""
     validate_bath(bath)
     mu_inf = ((2.0 * bath.N + 1.0) ** 2 - 4.0 * bath.m_abs2) ** -0.5
-    ch = math.sqrt(1.0 + 4.0 * mu_inf**2 * bath.m_abs2)
-    r_inf = 0.5 * math.acosh(max(ch, 1.0))
+    # sinh(2 r_inf) = 2 mu_inf |M|: asinh keeps its digits as |M| -> 0
+    r_inf = 0.5 * math.asinh(2.0 * mu_inf * math.hypot(bath.M1, bath.M2))
     if r_inf < _R_EPS:
         phi_inf = 0.0
     else:
@@ -128,10 +128,11 @@ def evolve_cov(state: GaussianState, bath: BathParams, t: float) -> GaussianStat
 
 
 def _closed_forms(state0: GaussianParams, bath: BathParams, t):
-    """mu(t) and the numerator and denominator of tan(2*phi(t)).
+    """(mu(t), r(t), phi(t)) from one expansion of sigma(t), each like t.
 
     The bath is validated once per call whatever the number of times.
-    num and den are mu0 * (2*sigma_xp(t), sigma_pp(t) - sigma_xx(t)), so
+    num and den are mu0 * (2*sigma_xp(t), sigma_pp(t) - sigma_xx(t)), the
+    numerator and denominator of tan(2*phi(t)), and
     hypot(num, den) * mu(t)/mu0 = sinh(2r(t)).
     """
     asym = channel_asymptote(bath)
@@ -143,7 +144,9 @@ def _closed_forms(state0: GaussianParams, bath: BathParams, t):
     bracket = (mu0**2 / asym.mu_inf**2) * om**2 + eta**2 + 2.0 * mu0 * cross * om * eta
     num = 2.0 * mu0 * bath.M2 * om + sh * s2 * eta
     den = -2.0 * mu0 * bath.M1 * om + sh * c2 * eta
-    return mu0 / np.sqrt(bracket), num, den
+    mu, amplitude = mu0 / np.sqrt(bracket), np.hypot(num, den)
+    phi = np.where(amplitude < 1e-300, 0.0, (0.5 * np.arctan2(num, den)) % math.pi)
+    return _like_t(mu), _like_t(0.5 * np.arcsinh(mu / mu0 * amplitude)), _like_t(phi)
 
 
 def mu_of_t(state0: GaussianParams, bath: BathParams, t):
@@ -152,7 +155,7 @@ def mu_of_t(state0: GaussianParams, bath: BathParams, t):
     Agrees with purity(evolve_cov(...)) to better than 1e-10; the closed
     form is the expansion of det(sigma(t)) for the convex combination.
     """
-    return _like_t(_closed_forms(state0, bath, t)[0])
+    return _closed_forms(state0, bath, t)[0]
 
 
 def r_of_t(state0: GaussianParams, bath: BathParams, t):
@@ -161,8 +164,7 @@ def r_of_t(state0: GaussianParams, bath: BathParams, t):
     sinh(2r(t)) = mu(t) * sqrt((sigma_xx - sigma_pp)^2 + 4 sigma_xp^2) is
     fed to asinh, which keeps full relative precision as r(t) -> 0.
     """
-    mu_t, num, den = _closed_forms(state0, bath, t)
-    return _like_t(0.5 * np.arcsinh(mu_t / state0.mu * np.hypot(num, den)))
+    return _closed_forms(state0, bath, t)[1]
 
 
 def phi_of_t(state0: GaussianParams, bath: BathParams, t):
@@ -173,9 +175,7 @@ def phi_of_t(state0: GaussianParams, bath: BathParams, t):
     covariance matrix at all times.  In a thermal bath (M = 0) the angle
     is constant; when the squeezing vanishes the angle is set to 0.
     """
-    _, num, den = _closed_forms(state0, bath, t)
-    phi = (0.5 * np.arctan2(num, den)) % math.pi
-    return _like_t(np.where(np.hypot(num, den) < 1e-300, 0.0, phi))
+    return _closed_forms(state0, bath, t)[2]
 
 
 def mu_optimal(mu0: float, bath: BathParams, t: float) -> float:
@@ -293,6 +293,5 @@ def trajectory(state0: GaussianParams, bath: BathParams, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     initial = GaussianState.from_params(state0)
     initial.cov.require_physical()
-    return Trajectory(bath.gamma * times, mu_of_t(state0, bath, times),
-                      r_of_t(state0, bath, times), phi_of_t(state0, bath, times),
+    return Trajectory(bath.gamma * times, *_closed_forms(state0, bath, times),
                       *_evolved(initial, bath, times))

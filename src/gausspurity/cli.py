@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -109,11 +110,9 @@ def _cmd_experiment(args, experiment: str) -> int:
             kwargs["bath"] = BathParams(gamma=args.gamma, N=args.bath_n,
                                         M1=args.bath_m1, M2=args.bath_m2)
         config = ExperimentConfig(**kwargs)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    config.output_path = args.out
+    overrides = {"seed": args.seed, "trials": args.trials, "output_path": args.out}
+    # replace() re-runs __post_init__, so the overrides are validated too
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     emit(run_experiment(config), args.out, args.format)
     return 0
 

@@ -178,6 +178,14 @@ def _chunk_sizes(resamples: int, n: int) -> list:
     return [min(chunk, resamples - start) for start in range(0, resamples, chunk)]
 
 
+def _check_bootstrap(resamples: int, level: float):
+    """Reject, before any draw, what no bootstrap interval can come from."""
+    if resamples < 2:
+        raise ValueError(f"resamples must be >= 2, got {resamples}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+
+
 def _bootstrap_estimate(point, mus, resamples, level, n, method, bootstrap):
     """The point with the percentile interval of the physical resamples around it."""
     if mus.size < max(2, resamples // 2):
@@ -204,8 +212,7 @@ def purity_from_q(batch: QSampleBatch, resamples: int = 400,
                          f"{_Q_BOOTSTRAPS}")
     if batch.n < 3:
         raise InsufficientDataError(f"need at least 3 Q-samples, got {batch.n}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+    _check_bootstrap(resamples, level)
     q_cov = _q_cov(batch)
     point = purity_from_moments(_moments_of(batch, q_cov))
     rng = make_rng(seed)
@@ -252,8 +259,7 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
         if abs(batch.theta - expected) > 1e-9:
             raise ValueError(f"quadrature phase mismatch: expected theta={expected}, "
                              f"got {batch.theta}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+    _check_bootstrap(resamples, level)
     v0, v45, v90 = (float(np.var(b.values, ddof=1)) for b in (b0, b45, b90))
     point = purity_from_three_quadratures(v0, v45, v90)
     rng = make_rng(seed)

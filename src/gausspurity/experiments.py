@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,9 +25,6 @@ from .estimation import (_monte_carlo, _q_trial, _three_quadrature_trial,
                          purity_from_q)
 from .sampling import sample_q
 from .states import GaussianState, purity
-
-EXPERIMENTS = ("fig_varnx", "fig_trequad", "fig_varr", "fig_varnth",
-               "evolution_r0_sweep", "evolution_time", "ratio_check")
 
 # Fig. 1/2 state: strongly squeezed thermal state with true purity 0.5.
 DEFAULT_STATE = GaussianParams(nbar=0.5, r=1.5, phi=0.0)
@@ -66,9 +63,9 @@ class ExperimentConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose one of {EXPERIMENTS}")
+                             f"choose one of {tuple(_RUNNERS)}")
         if self.state is None:
             self.state = (VARNTH_STATE if self.experiment == "fig_varnth"
                           else DEFAULT_STATE)
@@ -84,19 +81,7 @@ class ExperimentConfig:
                 setattr(self, name, grid)
 
     def to_dict(self) -> dict:
-        d = {"experiment": self.experiment,
-             "state": {"x0": self.state.x0, "p0": self.state.p0,
-                       "nbar": self.state.nbar, "r": self.state.r,
-                       "phi": self.state.phi},
-             "bath": None, "n_grid": self.n_grid, "r_grid": self.r_grid,
-             "nbar_grid": self.nbar_grid, "t_grid": self.t_grid,
-             "trials": self.trials, "seed": self.seed,
-             "resamples": self.resamples, "level": self.level,
-             "output_path": self.output_path}
-        if self.bath is not None:
-            d["bath"] = {"gamma": self.bath.gamma, "N": self.bath.N,
-                         "M1": self.bath.M1, "M2": self.bath.M2}
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -119,13 +104,12 @@ class ExperimentReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {"experiment": self.experiment, "columns": self.columns,
-                "rows": self.rows, "config": self.config,
-                "provenance": self.provenance}
+        return asdict(self)
 
 
-def _provenance(config: ExperimentConfig) -> dict:
-    return {"library_version": __version__, "seed": config.seed}
+def _report(config: ExperimentConfig, columns, rows) -> ExperimentReport:
+    return ExperimentReport(config.experiment, columns, rows, config.to_dict(),
+                            {"library_version": __version__, "seed": config.seed})
 
 
 # How far a figure's estimates sit from mu_true: its last column.
@@ -133,7 +117,7 @@ _DEVIATIONS = {"rel_err": lambda est, mu: float(np.mean(np.abs(est - mu) / mu)),
                "bias": lambda est, mu: float(est.mean()) - mu}
 
 
-def _figure(config, name, grid, points, trial, last_column) -> ExperimentReport:
+def _figure(config, grid, points, trial, last_column) -> ExperimentReport:
     """Monte Carlo figure report: one row per point, keyed by grid = (column, values).
 
     Error bars are the trial's own interval when one estimate survives (the
@@ -158,7 +142,7 @@ def _figure(config, name, grid, points, trial, last_column) -> ExperimentReport:
             deviation = _DEVIATIONS[last_column](est, mu_true)
         rows.append(dict(zip(columns, [value, mu_hat, lo, hi, mu_true, deviation,
                                        degenerate])))
-    return ExperimentReport(name, columns, rows, config.to_dict(), _provenance(config))
+    return _report(config, columns, rows)
 
 
 def _q_trial_for(config: ExperimentConfig):
@@ -178,7 +162,7 @@ def run_fig_varnx(config: ExperimentConfig) -> ExperimentReport:
     """Q-method purity estimate versus the number of data."""
     n_grid = [int(n) for n in config.n_grid or DEFAULT_N_GRID]
     state = GaussianState.from_params(config.state)
-    return _figure(config, "fig_varnx", ("n", n_grid), [(state, n) for n in n_grid],
+    return _figure(config, ("n", n_grid), [(state, n) for n in n_grid],
                    _q_trial_for(config), "rel_err")
 
 
@@ -191,7 +175,7 @@ def run_fig_trequad(config: ExperimentConfig) -> ExperimentReport:
     """
     n_grid = [int(n) for n in config.n_grid or DEFAULT_N_GRID]
     state = GaussianState.from_params(config.state)
-    return _figure(config, "fig_trequad", ("n", n_grid), [(state, n) for n in n_grid],
+    return _figure(config, ("n", n_grid), [(state, n) for n in n_grid],
                    _three_quadrature_trial, "bias")
 
 
@@ -200,8 +184,7 @@ def run_fig_varr(config: ExperimentConfig) -> ExperimentReport:
     grid = [float(r) for r in config.r_grid or DEFAULT_R_GRID]
     points = [(GaussianState.from_params(replace(config.state, r=r)), VARR_N)
               for r in grid]
-    return _figure(config, "fig_varr", ("r", grid), points, _q_trial_for(config),
-                   "rel_err")
+    return _figure(config, ("r", grid), points, _q_trial_for(config), "rel_err")
 
 
 def run_fig_varnth(config: ExperimentConfig) -> ExperimentReport:
@@ -209,8 +192,7 @@ def run_fig_varnth(config: ExperimentConfig) -> ExperimentReport:
     grid = [float(nb) for nb in config.nbar_grid or DEFAULT_NBAR_GRID]
     points = [(GaussianState.from_params(replace(config.state, nbar=nb)), VARNTH_N)
               for nb in grid]
-    return _figure(config, "fig_varnth", ("nbar", grid), points, _q_trial_for(config),
-                   "rel_err")
+    return _figure(config, ("nbar", grid), points, _q_trial_for(config), "rel_err")
 
 
 def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
@@ -233,8 +215,7 @@ def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
             rows.append(dict(zip(columns,
                                  [label, float(gt), float(mu), float(r), float(phi),
                                   float(abs(mu - purity(oracle.cov)))])))
-    return ExperimentReport("evolution_time", columns, rows, config.to_dict(),
-                            _provenance(config))
+    return _report(config, columns, rows)
 
 
 def run_evolution_r0_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -247,8 +228,7 @@ def run_evolution_r0_sweep(config: ExperimentConfig) -> ExperimentReport:
         for r0 in r_grid:
             mu = mu_of_t(GaussianParams(r=float(r0)), bath, 1.0 / bath.gamma)
             rows.append(dict(zip(columns, [n_bath, float(r0), mu])))
-    return ExperimentReport("evolution_r0_sweep", columns, rows, config.to_dict(),
-                            _provenance(config))
+    return _report(config, columns, rows)
 
 
 def run_ratio_check(config: ExperimentConfig) -> ExperimentReport:
@@ -262,17 +242,13 @@ def run_ratio_check(config: ExperimentConfig) -> ExperimentReport:
     mu_coh = mu_of_t(GaussianParams(), bath, t)
     columns = ["gamma_t", "mu_squeezed", "mu_coherent", "ratio"]
     rows = [dict(zip(columns, [1.0, mu_sq, mu_coh, mu_sq / mu_coh]))]
-    return ExperimentReport("ratio_check", columns, rows, config.to_dict(),
-                            _provenance(config))
+    return _report(config, columns, rows)
 
 
-_RUNNERS = {"fig_varnx": run_fig_varnx,
-            "fig_trequad": run_fig_trequad,
-            "fig_varr": run_fig_varr,
-            "fig_varnth": run_fig_varnth,
-            "evolution_time": run_evolution_time,
+_RUNNERS = {"fig_varnx": run_fig_varnx, "fig_trequad": run_fig_trequad,
+            "fig_varr": run_fig_varr, "fig_varnth": run_fig_varnth,
             "evolution_r0_sweep": run_evolution_r0_sweep,
-            "ratio_check": run_ratio_check}
+            "evolution_time": run_evolution_time, "ratio_check": run_ratio_check}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -88,18 +88,16 @@ class HomodyneBatch:
         return self.values.size
 
     def to_csv(self, path):
-        rows = np.column_stack([np.full(self.n, self.theta), self.values])
-        _write_csv(path, CSV_HOMODYNE_HEADER, rows)
+        write_homodyne_batches([self], path)
 
     @classmethod
     def from_csv(cls, path) -> "HomodyneBatch":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        thetas = np.unique(rows[:, 0])
-        if thetas.size != 1:
+        groups = read_homodyne_batches(path)
+        if len(groups) != 1:
             raise ValueError(
-                f"{path}: expected a single quadrature phase, found {thetas.size}; "
+                f"{path}: expected a single quadrature phase, found {len(groups)}; "
                 "use read_homodyne_batches for mixed-phase files")
-        return cls(theta=float(thetas[0]), values=rows[:, 1])
+        return next(iter(groups.values()))
 
 
 def read_homodyne_batches(path) -> dict:

@@ -88,14 +88,6 @@ class CovMatrix:
     def matrix(self) -> np.ndarray:
         return np.array([[self.sxx, self.sxp], [self.sxp, self.spp]])
 
-    @classmethod
-    def from_matrix(cls, m) -> "CovMatrix":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(sxx=float(m[0, 0]), spp=float(m[1, 1]),
-                   sxp=float(0.5 * (m[0, 1] + m[1, 0])))
-
     def is_physical(self) -> bool:
         return (self.sxx > 0 and self.spp > 0
                 and self.det >= 0.25 * (1.0 - PHYSICALITY_RTOL))

@@ -92,6 +92,32 @@ class TestAsymptote:
             if a.r_inf > 1e-6:
                 assert a.phi_inf == pytest.approx(p.phi, abs=1e-9)
 
+    @pytest.mark.parametrize("n_bath", [1e-6, 0.01, 0.5, 1.0, 3.0, 20.0])
+    def test_weakly_squeezed_asymptote_matches_mpmath(self, n_bath):
+        # r_inf = asinh(2 mu_inf |M|)/2 in 50-digit arithmetic, |M| from
+        # far below to on the bound N(N+1)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for frac in (1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0):
+            for angle in (0.0, 1.0, 4.0):
+                m = frac * math.sqrt(n_bath * (n_bath + 1.0))
+                bath = BathParams(N=n_bath, M1=m * math.cos(angle),
+                                  M2=m * math.sin(angle))
+                n, m1, m2 = (mpmath.mpf(v) for v in (bath.N, bath.M1, bath.M2))
+                m_abs2 = m1 * m1 + m2 * m2
+                mu_inf = ((2 * n + 1) ** 2 - 4 * m_abs2) ** mpmath.mpf(-0.5)
+                ref = float(mpmath.asinh(2 * mu_inf * mpmath.sqrt(m_abs2)) / 2)
+                r_inf = channel_asymptote(bath).r_inf
+                assert abs(r_inf - ref) <= 1e-12 * ref, (frac, angle, r_inf, ref)
+
+    def test_weakly_squeezed_bath_keeps_its_angle(self):
+        bath = BathParams(N=1.0, M1=-0.6e-8, M2=0.8e-8)
+        a = channel_asymptote(bath)
+        assert a.r_inf == pytest.approx(1e-8 / math.sqrt(9.0), rel=1e-12)
+        angle = (0.5 * math.atan2(2.0 * bath.M2, -2.0 * bath.M1)) % math.pi
+        assert a.phi_inf == angle != 0.0
+        assert optimal_input(bath).phi == angle
+
 
 class TestEvolveCov:
     def test_vacuum_into_thermal_bath(self):

@@ -145,6 +145,19 @@ class TestPurityFromQ:
         with pytest.raises(ValueError, match="bootstrap"):
             purity_from_q(batch, bootstrap="jackknife")
 
+    @pytest.mark.parametrize("bootstrap", ["nonparametric", "parametric"])
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_too_few_resamples_rejected_before_drawing(self, bootstrap, resamples):
+        batch = sample_q(SQUEEZED, 1_000, seed=16)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError,
+                           match=f"^resamples must be >= 2, got {resamples}$"):
+            purity_from_q(batch, resamples=resamples, seed=rng, bootstrap=bootstrap)
+        assert rng.bit_generator.state == state
+        assert purity_from_q(batch, resamples=2, seed=5,
+                             bootstrap=bootstrap).resamples_used == 2
+
     def test_asymptotically_unbiased(self):
         n, trials = 100_000, 200
         for nbar, r in [(0.1, 1.5), (0.5, 1.0), (1.0, 0.0)]:
@@ -218,6 +231,16 @@ class TestEstimatePurityHomodyne:
         bad = sample_homodyne(st, 0.3, 100, seed=41)
         with pytest.raises(ValueError):
             estimate_purity_homodyne(bad, good[1], good[2])
+
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_too_few_resamples_rejected_before_drawing(self, resamples):
+        batches = self._batches(GaussianState.vacuum(), 100, 42)
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError,
+                           match=f"^resamples must be >= 2, got {resamples}$"):
+            estimate_purity_homodyne(*batches, resamples=resamples, seed=rng)
+        assert rng.bit_generator.state == state
 
     def test_bias_positive_for_phi_zero(self):
         state = SQUEEZED

@@ -163,6 +163,14 @@ class TestRunners:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig_varnx", trials=0)
 
+    def test_unknown_experiment_lists_every_runner(self):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(experiment="fig_nope")
+        assert str(info.value) == (
+            "unknown experiment 'fig_nope'; choose one of ('fig_varnx', "
+            "'fig_trequad', 'fig_varr', 'fig_varnth', 'evolution_r0_sweep', "
+            "'evolution_time', 'ratio_check')")
+
     def test_config_round_trip(self):
         config = small_config("fig_varnx", state=GaussianParams(nbar=1.0, r=0.5))
         again = ExperimentConfig.from_dict(config.to_dict())
@@ -288,6 +296,26 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_override_is_validated(self, tmp_path, capsys, trials):
+        out = tmp_path / "varnx.csv"
+        rc = main(["figure", "varnx", "--trials", str(trials), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"trials must be >= 1, got {trials}"}
+        assert not out.exists()
+
+    def test_estimate_rejects_too_few_resamples(self, tmp_path, capsys):
+        data = tmp_path / "q.csv"
+        assert main(["sample", "--kind", "q", "--n", "50", "--out", str(data)]) == 0
+        rc = main(["estimate", "--method", "q", "--input", str(data),
+                   "--resamples", "0"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "resamples must be >= 2, got 0"}
 
     def test_unwritable_out_is_os_error(self, capsys):
         rc = main(["evolve", "ratio", "--out", "/no/such/dir/out.csv"])

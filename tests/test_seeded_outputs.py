@@ -5,10 +5,12 @@ change declares otherwise.  This module pins a set of small seeded runs:
 the four Monte Carlo figure runners (trials 1 and 3, seeds 0 and 5,
 degenerate-prone sample sizes), both error-scaling sweep methods
 (trials 1, 2 and 5), one nonparametric `purity_from_q` interval, one
-`estimate_purity_homodyne` interval, and the sha256 of the files written
-by the CSV writers and `emit`.  Floats are compared exactly (NaN equal to
-NaN) together with the Python type of every value; JSON round-trips the
-repr of a float exactly.
+`estimate_purity_homodyne` interval, the sha256 of the files written by
+the CSV writers and `emit`, and the closed-form channel outputs: the rows
+of the three evolution runners, the nine columns of one `trajectory`
+(t = 0 and gamma*t = 1e-6 included) and scalar mu/r/phi(t).  Floats are
+compared exactly (NaN equal to NaN) together with the Python type of
+every value; JSON round-trips the repr of a float exactly.
 
 A change that alters a pinned output on purpose regenerates the data with
 
@@ -30,13 +32,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gausspurity.channel import (BathParams, mu_of_t, phi_of_t, r_of_t,
+                                 trajectory)
 from gausspurity.estimation import (EstimationMethod, error_scaling_sweep,
                                     estimate_purity_homodyne, purity_from_q)
 from gausspurity.experiments import (DEFAULT_STATE, ExperimentConfig, emit,
                                      run_experiment)
 from gausspurity.sampling import (HomodyneBatch, QSampleBatch, sample_homodyne,
                                   sample_q, write_homodyne_batches)
-from gausspurity.states import GaussianState
+from gausspurity.states import GaussianParams, GaussianState
 
 DATA = Path(__file__).parent / "data" / "seeded_outputs.json"
 
@@ -51,12 +55,15 @@ def _typed(value):
     return [type(value).__name__, value]
 
 
-def _report(experiment, trials, seed):
-    report = run_experiment(ExperimentConfig(
-        experiment=experiment, trials=trials, seed=seed, resamples=200,
-        level=0.9, **_GRIDS[experiment]))
+def _report(experiment, **kw):
+    report = run_experiment(ExperimentConfig(experiment=experiment, **kw))
     return {"columns": report.columns,
             "rows": [{k: _typed(v) for k, v in row.items()} for row in report.rows]}
+
+
+def _figure(experiment, trials, seed):
+    return _report(experiment, trials=trials, seed=seed, resamples=200, level=0.9,
+                   **_GRIDS[experiment])
 
 
 def _state():
@@ -116,14 +123,48 @@ def _csv_hashes():
     }
 
 
+# A squeezed bath with both M1 and M2 set, and an input off every axis.
+_SQUEEZED_BATH = BathParams(gamma=2.0, N=0.7, M1=0.3, M2=-0.4)
+_EVOLVED_INPUT = GaussianParams(x0=0.3, p0=-0.2, nbar=0.4, r=0.8, phi=0.7)
+_EVOLUTION_T_GRID = [0.0, 1e-6, 0.1, 1.0, 5.0]
+
+
+def _trajectory_columns():
+    # gamma*t = 0, 1e-6, 0.5, 2 and 8
+    traj = trajectory(_EVOLVED_INPUT, _SQUEEZED_BATH, [0.0, 5e-7, 0.25, 1.0, 4.0])
+    return {f.name: {"dtype": str(getattr(traj, f.name).dtype),
+                     "values": getattr(traj, f.name).tolist()}
+            for f in dataclasses.fields(traj)}
+
+
+def _scalar_closed_forms():
+    out = {}
+    for label, state, bath in (("thermal", DEFAULT_STATE, BathParams(N=0.5)),
+                               ("squeezed", _EVOLVED_INPUT, _SQUEEZED_BATH)):
+        for t in (0.0, 1e-9, 0.35, 3.0):
+            out[f"{label}.t{t!r}"] = [_typed(f(state, bath, t))
+                                      for f in (mu_of_t, r_of_t, phi_of_t)]
+    return out
+
+
 CASES = {
-    **{f"{e}.trials{t}.seed{s}": (lambda e=e, t=t, s=s: _report(e, t, s))
+    **{f"{e}.trials{t}.seed{s}": (lambda e=e, t=t, s=s: _figure(e, t, s))
        for e in _GRIDS for t in (1, 3) for s in (0, 5)},
     **{f"sweep.{m.value}.trials{t}": (lambda m=m, t=t: _sweep(m, t))
        for m in EstimationMethod for t in (1, 2, 5)},
     "purity_from_q.nonparametric": _q_ci,
     "estimate_purity_homodyne": _homodyne_ci,
     "csv_sha256": _csv_hashes,
+    "evolution_time.default_bath": lambda: _report(
+        "evolution_time", t_grid=_EVOLUTION_T_GRID),
+    "evolution_time.squeezed_bath": lambda: _report(
+        "evolution_time", t_grid=_EVOLUTION_T_GRID, bath=_SQUEEZED_BATH),
+    "evolution_r0_sweep": lambda: _report(
+        "evolution_r0_sweep", r_grid=[0.0, 0.3, 1.5, 3.0]),
+    "ratio_check.default_bath": lambda: _report("ratio_check"),
+    "ratio_check.squeezed_bath": lambda: _report("ratio_check", bath=_SQUEEZED_BATH),
+    "trajectory.columns": _trajectory_columns,
+    "closed_forms.scalar": _scalar_closed_forms,
 }
 
 
