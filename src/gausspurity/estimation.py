@@ -14,11 +14,13 @@ default).  The bootstrap resamples the record itself (nonparametric, the
 default, which assumes nothing about the data) or, for Gaussian records,
 draws the resampled Q covariance from its Wishart law (parametric, three
 variates per resample instead of n); the simulated figure runners use the
-parametric kind.  A simulated three-quadrature trial draws each sample
-variance from its chi-square law, not from records (sample_homodyne stays
-for the CLI and for callers that want records).  Degenerate point
-estimates -- negative determinant or non-positive bracket -- raise
-DegenerateSampleError instead of being clamped: small-n unreliability is real.
+parametric kind.  Nonparametric resamples are drawn and reduced in
+cache-sized row blocks; their bits do not depend on the block size.  A
+simulated three-quadrature trial draws each sample variance from its
+chi-square law, not from records (sample_homodyne stays for the CLI and
+for callers that want records).  Degenerate point estimates -- negative
+determinant or non-positive bracket -- raise DegenerateSampleError
+instead of being clamped: small-n unreliability is real.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .states import CovMatrix, GaussianState, purity
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 _BOOT_CHUNK_ELEMS = 2_000_000
+_BLOCK_ELEMS = 262_144      # values per row block of _resampled_covs
 
 
 class EstimationMethod(str, Enum):
@@ -124,28 +127,36 @@ def _q_purities(sxx, spp, sxp) -> np.ndarray:
     return 0.5 / np.sqrt(det[ok])
 
 
+def _resampled_covs(cols, products, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(sum g_i g_j - n m_i m_j)/(n-1) of k resamples of the columns, per (i, j).
+
+    Row blocks of about _BLOCK_ELEMS values stay in cache and give the same bits
+    at any size: integers() is one stream however split, and rows reduce alone.
+    """
+    n = cols[0].size
+    rows = max(1, min(k, _BLOCK_ELEMS // n))
+    # one work buffer, and idx freed before the next draw: glibc then reuses the
+    # same heap pages instead of trimming them and faulting them in again
+    work, out = np.empty((len(cols) + 1, rows, n)), np.empty((len(products), k))
+    for start in range(0, k, rows):
+        idx = rng.integers(0, n, size=(min(rows, k - start), n))
+        g, prod = work[:-1, :len(idx)], work[-1, :len(idx)]
+        for col, buf in zip(cols, g):
+            np.take(col, idx, out=buf, mode="clip")    # "clip" is unbuffered; idx is in range
+        m = g.mean(axis=2)
+        for row, (i, j) in zip(out[:, start:], products):
+            row[:len(idx)] = (np.multiply(g[i], g[j], out=prod).sum(axis=1)
+                              - n * m[i] * m[j]) / (n - 1)
+        del idx
+    return out
+
+
 def _bootstrap_q(pairs: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
     """Purity of bootstrap resamples of a Q-batch; degenerate ones dropped."""
-    n = pairs.shape[0]
-    # gathering from contiguous copies, not strided column views, halves the
-    # memory the random reads span
-    x, p = np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
-    sizes = _chunk_sizes(resamples, n)
-    # every chunk reuses the same (k, n) work arrays; only idx is allocated anew
-    work = np.empty((3, max(sizes, default=0), n))
-    out = []
-    for k in sizes:
-        idx = rng.integers(0, n, size=(k, n))
-        xs, ps, sq = work[:, :k]
-        np.take(x, idx, out=xs, mode="clip")    # "clip" is unbuffered; idx is in range
-        np.take(p, idx, out=ps, mode="clip")
-        del idx                     # freed before the next chunk draws its own
-        mx, mp = xs.mean(axis=1), ps.mean(axis=1)
-        sxx = (np.multiply(xs, xs, out=sq).sum(axis=1) - n * mx * mx) / (n - 1) - 0.5
-        spp = (np.multiply(ps, ps, out=sq).sum(axis=1) - n * mp * mp) / (n - 1) - 0.5
-        sxp = (np.multiply(xs, ps, out=sq).sum(axis=1) - n * mx * mp) / (n - 1)
-        out.append(_q_purities(sxx, spp, sxp))
-    return np.concatenate(out)
+    # contiguous copies, not strided column views, halve what the random reads span
+    sxx, spp, sxp = _resampled_covs(np.ascontiguousarray(pairs.T),
+                                    ((0, 0), (1, 1), (0, 1)), resamples, rng)
+    return _q_purities(sxx - 0.5, spp - 0.5, sxp)
 
 
 def _parametric_q(q_cov: np.ndarray, n: int, resamples: int,
@@ -173,7 +184,7 @@ _Q_BOOTSTRAPS = ("nonparametric", "parametric")
 
 
 def _chunk_sizes(resamples: int, n: int) -> list:
-    """Bootstrap chunk sizes: at most _BOOT_CHUNK_ELEMS // n resamples each."""
+    """Homodyne chunk sizes; they fix the draw order: chunk by chunk, phase 0, pi/4, pi/2."""
     chunk = max(1, _BOOT_CHUNK_ELEMS // n)
     return [min(chunk, resamples - start) for start in range(0, resamples, chunk)]
 
@@ -238,14 +249,6 @@ def purity_from_three_quadratures(var0: float, var45: float, var90: float) -> fl
     return bracket**-0.5
 
 
-def _bootstrap_vars(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = values.size
-    idx = rng.integers(0, n, size=(k, n))
-    s = values[idx]
-    m = s.mean(axis=1)
-    return ((s * s).sum(axis=1) - n * m * m) / (n - 1)
-
-
 def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
                              b90: HomodyneBatch, resamples: int = 400,
                              level: float = 0.68, seed=0) -> PurityEstimate:
@@ -263,12 +266,11 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
     v0, v45, v90 = (float(np.var(b.values, ddof=1)) for b in (b0, b45, b90))
     point = purity_from_three_quadratures(v0, v45, v90)
     rng = make_rng(seed)
-    mus = []
-    for k in _chunk_sizes(resamples, max(b0.n, b45.n, b90.n)):
-        w0, w45, w90 = (_bootstrap_vars(b.values, k, rng) for b in (b0, b45, b90))
-        bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
-        mus.append(bracket[bracket > 0] ** -0.5)
-    mus = np.concatenate(mus)
+    w0, w45, w90 = np.hstack([[_resampled_covs((b.values,), ((0, 0),), k, rng)[0]
+                               for b in (b0, b45, b90)]
+                              for k in _chunk_sizes(resamples, max(b0.n, b45.n, b90.n))])
+    bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
+    mus = bracket[bracket > 0] ** -0.5
     return _bootstrap_estimate(point, mus, resamples, level, b0.n + b45.n + b90.n,
                                EstimationMethod.THREE_QUADRATURE, "nonparametric")
 

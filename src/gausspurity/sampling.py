@@ -65,7 +65,7 @@ class QSampleBatch:
 
     @classmethod
     def from_csv(cls, path) -> "QSampleBatch":
-        return cls(pairs=np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+        return cls(pairs=_read_csv(path, CSV_Q_HEADER))
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class HomodyneBatch:
 
 def read_homodyne_batches(path) -> dict:
     """Read a mixed-phase homodyne CSV, grouped by theta."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = _read_csv(path, CSV_HOMODYNE_HEADER)
     return {float(t): HomodyneBatch(theta=float(t), values=rows[rows[:, 0] == t, 1])
             for t in np.unique(rows[:, 0])}
 
@@ -116,7 +116,19 @@ def write_homodyne_batches(batches, path):
 
 def _write_csv(path, header: str, rows: np.ndarray):
     """The record CSV format: a header line, then rows of %.17g fields."""
-    np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
+    line = "%.17g," * (rows.shape[1] - 1) + "%.17g\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        # one %-format per block of 8192 rows, not one per row as np.savetxt does
+        for block in np.split(rows, range(8192, rows.shape[0], 8192)):
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _read_csv(path, header: str) -> np.ndarray:
+    with open(path) as fh:
+        if (found := fh.readline().rstrip("\n")) != header:
+            raise ValueError(f"{path}: expected CSV header {header!r}, found {found!r}")
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
 def q_covariance(state: GaussianState) -> np.ndarray:

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gausspurity
+import gausspurity.estimation as estimation
 from gausspurity import (CovMatrix, DegenerateSampleError, EstimationMethod,
                          GaussianParams, GaussianState,
                          InsufficientDataError, MomentEstimate,
@@ -303,6 +305,71 @@ class TestEstimatePurityHomodyne:
             means.append((ests.mean(), ests.std(ddof=1) / math.sqrt(ests.size)))
         (m0, s0), (m1, s1) = means
         assert abs(m0 - m1) < 4 * math.hypot(s0, s1)
+
+
+def _one_shot_covs(values, idx):
+    """Reference: (sum g^2 - n m^2)/(n-1) of every resample, from one (B, n) gather."""
+    n = values.size
+    g = values[idx]
+    m = g.mean(axis=1)
+    return ((g * g).sum(axis=1) - n * m * m) / (n - 1)
+
+
+class TestNonparametricResampling:
+    """The row-blocked resampling kernel against one (B, n) draw."""
+
+    N, B = 1001, 37     # odd, so no block size divides the work evenly
+
+    @pytest.fixture(params=["one", "n+1", "3n-1", "all"])
+    def block(self, request, monkeypatch):
+        n = self.N
+        elems = {"one": 1, "n+1": n + 1, "3n-1": 3 * n - 1, "all": 10**9}[request.param]
+        monkeypatch.setattr(estimation, "_BLOCK_ELEMS", elems)
+
+    def test_q_bootstrap_bits_do_not_depend_on_the_block(self, block):
+        pairs = sample_q(SQUEEZED, self.N, seed=81).pairs
+        rng = estimation.make_rng(82)
+        idx = rng.integers(0, self.N, size=(self.B, self.N))
+        x, p = pairs[:, 0], pairs[:, 1]
+        n, gx, gp = self.N, x[idx], p[idx]
+        sxp = ((gx * gp).sum(axis=1) - n * gx.mean(axis=1) * gp.mean(axis=1)) / (n - 1)
+        expected = estimation._q_purities(_one_shot_covs(x, idx) - 0.5,
+                                          _one_shot_covs(p, idx) - 0.5, sxp)
+        got = estimation._bootstrap_q(pairs, self.B, estimation.make_rng(82))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_homodyne_bits_do_not_depend_on_the_block(self, block):
+        # unequal phase sizes; one chunk, phases drawn in the order 0, pi/4, pi/2
+        batches = [sample_homodyne(SQUEEZED, th, m, seed=83 + i)
+                   for i, (th, m) in enumerate(zip(PHASES, (2000, 2001, 1999)))]
+        rng = estimation.make_rng(84)
+        w0, w45, w90 = (_one_shot_covs(b.values, rng.integers(0, b.n, size=(self.B, b.n)))
+                        for b in batches)
+        bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
+        mus = bracket[bracket > 0] ** -0.5
+        lo, hi = np.quantile(mus, [0.16, 0.84])
+        est = estimate_purity_homodyne(*batches, resamples=self.B, seed=84)
+        assert (est.ci_low, est.ci_high) == (min(float(lo), est.mu_hat),
+                                             max(float(hi), est.mu_hat))
+        assert est.resamples_used == mus.size
+
+    @pytest.mark.parametrize("call", ["purity_from_q", "estimate_purity_homodyne"])
+    def test_peak_memory_is_bounded(self, call):
+        # the resamples are reduced block by block, never held as (B, n) arrays
+        if call == "purity_from_q":
+            batch = sample_q(SQUEEZED, 100_000, seed=85)
+            run = lambda: purity_from_q(batch, resamples=400, seed=86)
+        else:
+            batches = [sample_homodyne(SQUEEZED, th, 30_000, seed=87 + i)
+                       for i, th in enumerate(PHASES)]
+            run = lambda: estimate_purity_homodyne(*batches, resamples=400, seed=86)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestErrorScalingSweep:

@@ -290,6 +290,25 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "theta" in err["message"]
 
+    @pytest.mark.parametrize("sample, method, expected, found", [
+        (["--kind", "homodyne", "--theta", "0", "--theta", "3"], "q",
+         "x,p", "theta,value"),
+        (["--kind", "q"], "three-quadrature", "theta,value", "x,p")])
+    def test_estimate_rejects_the_other_record_kind(self, tmp_path, capsys,
+                                                    sample, method, expected, found):
+        # read as Q pairs, this two-phase homodyne record once gave mu = 0.680
+        # for a state of mu = 0.625, and exit code 0
+        data = tmp_path / "record.csv"
+        assert main(["sample", *sample, "--n", "3000", "--nbar", "0.3",
+                     "--seed", "4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        rc = main(["estimate", "--method", method, "--input", str(data)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"{data}: expected CSV header {expected!r}, "
+                                  f"found {found!r}"}
+
     def test_invalid_state_is_json_error(self, tmp_path, capsys):
         rc = main(["sample", "--kind", "q", "--n", "10", "--nbar", "-1",
                    "--out", str(tmp_path / "x.csv")])

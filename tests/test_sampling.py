@@ -6,6 +6,7 @@ import pytest
 from gausspurity import (GaussianParams, GaussianState, HomodyneBatch,
                          QSampleBatch, homodyne_variance, q_covariance,
                          sample_homodyne, sample_q)
+from gausspurity.sampling import _write_csv
 
 SQUEEZED = GaussianState.from_params(GaussianParams(nbar=0.5, r=1.5))
 
@@ -130,3 +131,29 @@ class TestCsv:
         back = HomodyneBatch.from_csv(path)
         assert back.theta == pytest.approx(batch.theta, rel=1e-15)
         np.testing.assert_allclose(back.values, batch.values, rtol=1e-15)
+
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_writer_matches_savetxt(self, tmp_path, cols):
+        # np.savetxt, one %-format per row, is the reference; 20000 rows span
+        # three write blocks, and the specials sit in the first and last
+        rows = np.random.default_rng(2).standard_normal((20_000, cols))
+        rows *= 10.0 ** np.random.default_rng(3).integers(-300, 300, rows.shape)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
+                    1.8e308, -1.8e308, 0.1, 1 / 3, 1e16, 2.0**53 + 2]
+        rows.ravel()[:len(specials)] = specials
+        rows.ravel()[-len(specials):] = specials
+        path, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        _write_csv(path, "a,b", rows)
+        np.savetxt(ref, rows, delimiter=",", header="a,b", comments="", fmt="%.17g")
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_reader_rejects_the_other_header(self, tmp_path):
+        path = tmp_path / "h.csv"
+        sample_homodyne(SQUEEZED, 0.0, 10, seed=1).to_csv(path)
+        with pytest.raises(ValueError, match="expected CSV header 'x,p', "
+                                             "found 'theta,value'"):
+            QSampleBatch.from_csv(path)
+        sample_q(SQUEEZED, 10, seed=2).to_csv(path)
+        with pytest.raises(ValueError, match="expected CSV header 'theta,value', "
+                                             "found 'x,p'"):
+            HomodyneBatch.from_csv(path)

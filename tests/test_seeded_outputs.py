@@ -4,13 +4,14 @@ Every seeded output of the library is meant to stay bit-identical unless a
 change declares otherwise.  This module pins a set of small seeded runs:
 the four Monte Carlo figure runners (trials 1 and 3, seeds 0 and 5,
 degenerate-prone sample sizes), both error-scaling sweep methods
-(trials 1, 2 and 5), one nonparametric `purity_from_q` interval, one
-`estimate_purity_homodyne` interval, the sha256 of the files written by
-the CSV writers and `emit`, and the closed-form channel outputs: the rows
-of the three evolution runners, the nine columns of one `trajectory`
-(t = 0 and gamma*t = 1e-6 included) and scalar mu/r/phi(t).  Floats are
-compared exactly (NaN equal to NaN) together with the Python type of
-every value; JSON round-trips the repr of a float exactly.
+(trials 1, 2 and 5), nonparametric `purity_from_q` and
+`estimate_purity_homodyne` intervals at five levels each, the sha256 of
+the files written by the CSV writers and `emit`, and the closed-form
+channel outputs: the rows of the three evolution runners, the nine
+columns of one `trajectory` (t = 0 and gamma*t = 1e-6 included) and
+scalar mu/r/phi(t).  Floats are compared exactly (NaN equal to NaN)
+together with the Python type of every value; JSON round-trips the repr
+of a float exactly.
 
 A change that alters a pinned output on purpose regenerates the data with
 
@@ -76,19 +77,23 @@ def _sweep(method, trials):
             for row in rows]
 
 
-def _q_ci():
-    # n = 20000 makes the bootstrap run in three chunks
+def _q_ci(level=0.68):
+    # n = 20000 puts the B = 250 resamples in 20 row blocks of at most 13
     batch = sample_q(_state(), 20_000, seed=11)
-    pe = purity_from_q(batch, resamples=250, seed=12)
+    pe = purity_from_q(batch, resamples=250, level=level, seed=12)
     return {k: _typed(v) for k, v in pe.to_dict().items()}
 
 
-def _homodyne_ci():
+def _homodyne_ci(level=0.68):
     # 10000 values per phase make the bootstrap run in two chunks
     batches = [sample_homodyne(_state(), th, 10_000, seed=20 + i)
                for i, th in enumerate((0.0, math.pi / 4, math.pi / 2))]
-    pe = estimate_purity_homodyne(*batches, resamples=250, seed=13)
+    pe = estimate_purity_homodyne(*batches, resamples=250, level=level, seed=13)
     return {k: _typed(v) for k, v in pe.to_dict().items()}
+
+
+# further levels pin about ten order statistics of each bootstrap, not two
+_CI_LEVELS = (0.2, 0.5, 0.9, 0.99)
 
 
 def _sha256_of(write):
@@ -154,6 +159,10 @@ CASES = {
        for m in EstimationMethod for t in (1, 2, 5)},
     "purity_from_q.nonparametric": _q_ci,
     "estimate_purity_homodyne": _homodyne_ci,
+    **{f"purity_from_q.nonparametric.level{lv}": (lambda lv=lv: _q_ci(lv))
+       for lv in _CI_LEVELS},
+    **{f"estimate_purity_homodyne.level{lv}": (lambda lv=lv: _homodyne_ci(lv))
+       for lv in _CI_LEVELS},
     "csv_sha256": _csv_hashes,
     "evolution_time.default_bath": lambda: _report(
         "evolution_time", t_grid=_EVOLUTION_T_GRID),
