@@ -18,7 +18,9 @@ parametric kind.  Nonparametric resamples are drawn and reduced in
 cache-sized row blocks; their bits do not depend on the block size.  A
 simulated three-quadrature trial draws each sample variance from its
 chi-square law, not from records (sample_homodyne stays for the CLI and
-for callers that want records).  Degenerate point estimates -- negative
+for callers that want records).  Monte Carlo trials run on min(cores,
+trials) threads, each Q trial in its thread's one reused (n, 2) buffer, and
+no result depends on the thread count.  Degenerate point estimates -- negative
 determinant or non-positive bracket -- raise DegenerateSampleError
 instead of being clamped: small-n unreliability is real.
 """
@@ -27,19 +29,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
-from .sampling import HomodyneBatch, QSampleBatch, homodyne_variance, make_rng, sample_q
+from .sampling import HomodyneBatch, QSampleBatch, homodyne_variance, make_rng
 from .states import CovMatrix, GaussianState, purity
 
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 _BOOT_CHUNK_ELEMS = 2_000_000
 _BLOCK_ELEMS = 262_144      # values per row block of _resampled_covs
+_worker = threading.local()     # .z: _q_trial's (n, 2) scratch on this thread
 
 
 class EstimationMethod(str, Enum):
@@ -112,8 +117,12 @@ def _moments_of(batch: QSampleBatch, c: np.ndarray) -> MomentEstimate:
 
 def purity_from_moments(m: MomentEstimate) -> float:
     """Plug-in purity from estimated moments; exact on analytic input."""
-    det = m.sxx_hat * m.spp_hat - m.sxp_hat**2
-    if m.sxx_hat <= 0 or m.spp_hat <= 0 or det <= 0:
+    return _plug_in_purity(m.sxx_hat, m.spp_hat, m.sxp_hat)
+
+
+def _plug_in_purity(sxx: float, spp: float, sxp: float) -> float:
+    det = sxx * spp - sxp**2
+    if sxx <= 0 or spp <= 0 or det <= 0:
         raise DegenerateSampleError(
             f"estimated covariance has non-positive determinant {det}; "
             "too few data for this state")
@@ -295,8 +304,8 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     across-trial standard deviation of the relative error are reported.
     """
     n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError(f"n_grid must be non-empty and ascending, got {n_grid}")
+    if not n_grid or n_grid[0] < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError(f"n_grid must be non-empty, ascending and >= 2, got {n_grid}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     mu_true = purity(state.cov)
@@ -313,9 +322,24 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
 
 
 def _q_trial(state: GaussianState, n: int, rng: np.random.Generator):
-    """Q-method point estimate from n fresh pairs; no interval."""
-    batch = sample_q(state, n, rng)
-    return purity_from_moments(moments_from_q(batch)), (math.nan, math.nan)
+    """Q-method point estimate from n pairs drawn into the thread's buffer; no interval.
+
+    Bit for bit purity_from_moments(moments_from_q(sample_q(state, n, rng))).
+    """
+    state.cov.require_physical()
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 Q-samples, got {n}")
+    chol = np.linalg.cholesky(state.cov.matrix + 0.5 * np.eye(2))   # of q_covariance(state)
+    if len(getattr(_worker, "z", ())) != n:
+        _worker.z = np.empty((n, 2))
+    z = rng.standard_normal(out=_worker.z)
+    for block in np.split(z, range(4096, n, 4096)):     # small overlap copies, same bits
+        np.matmul(block, chol.T, out=block)
+    z += state.mean
+    z -= z.T.mean(axis=1)           # as np.cov: mean over the (2, n) view, dot, scale
+    c = np.dot(z.T, z) * (1 / (n - 1))
+    return (_plug_in_purity(float(c[0, 0]) - 0.5, float(c[1, 1]) - 0.5, float(c[0, 1])),
+            (math.nan, math.nan))
 
 
 def _three_quadrature_trial(state: GaussianState, n: int, rng: np.random.Generator):
@@ -335,19 +359,39 @@ def _monte_carlo(points, trials: int, seed, trial) -> list:
     """Seeded Monte Carlo simulated experiment: (estimates, cis, n_degenerate) per point.
 
     Trial j at point i runs trial(state, n, rng) -> (mu_hat, (ci_low, ci_high))
-    on its own Philox stream, child i*trials + j of SeedSequence(seed).  A
-    trial that raises DegenerateSampleError is counted, not kept.
+    on its own Philox stream, child k = i*trials + j of SeedSequence(seed).  A
+    trial that raises DegenerateSampleError is counted, not kept.  Worker w of
+    min(cores, trials) threads (0: the caller) runs each j = w mod workers, so
+    no result depends on that count; any other error is re-raised from the
+    lowest failing k, as a serial loop would raise it.
     """
-    children = iter(np.random.SeedSequence(seed).spawn(len(points) * trials))
-    results = []
-    for state, n in points:
-        kept, degenerate = [], 0
-        for _ in range(trials):
-            rng = np.random.Generator(np.random.Philox(next(children)))
-            try:
-                kept.append(trial(state, n, rng))
-            except DegenerateSampleError:
-                degenerate += 1
-        results.append((np.array([mu for mu, _ in kept], dtype=float),
-                        [ci for _, ci in kept], degenerate))
-    return results
+    children = np.random.SeedSequence(seed).spawn(len(points) * trials)
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1, trials)
+    outcomes = [None] * len(children)       # per child k; None if degenerate
+
+    def work(w):
+        for i, (state, n) in enumerate(points):
+            for k in range(i * trials + w, (i + 1) * trials, workers):
+                try:
+                    outcomes[k] = trial(state, n, np.random.Generator(
+                        np.random.Philox(children[k])))
+                except DegenerateSampleError:
+                    pass
+                except Exception as exc:
+                    outcomes[k] = exc
+                    return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    vars(_worker).clear()                   # worker threads drop theirs as they end
+    for t in threads:
+        t.join()
+    if failed := next((o for o in outcomes if isinstance(o, Exception)), None):
+        raise failed
+    kept = [[o for o in outcomes[s:s + trials] if o is not None]
+            for s in range(0, len(outcomes), trials)]
+    return [(np.array([mu for mu, _ in pt], dtype=float), [ci for _, ci in pt],
+             trials - len(pt)) for pt in kept]

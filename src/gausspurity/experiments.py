@@ -78,6 +78,8 @@ class ExperimentConfig:
                 if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
                     raise ValueError(f"{name} must be non-empty and strictly "
                                      f"ascending, got {grid}")
+                if name == "n_grid" and grid[0] < 2:
+                    raise ValueError(f"n_grid values must be >= 2, got {grid}")
                 setattr(self, name, grid)
 
     def to_dict(self) -> dict:

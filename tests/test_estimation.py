@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,8 @@ from gausspurity import (CovMatrix, DegenerateSampleError, EstimationMethod,
                          moments_from_q, purity, purity_from_moments,
                          purity_from_q, purity_from_three_quadratures,
                          sample_homodyne, sample_q)
-from gausspurity.estimation import _monte_carlo, _three_quadrature_trial
+from gausspurity.estimation import _monte_carlo, _q_trial, _three_quadrature_trial
+from gausspurity.experiments import ExperimentConfig, run_experiment
 
 SQUEEZED = GaussianState.from_params(GaussianParams(nbar=0.5, r=1.5))
 PHASES = (0.0, math.pi / 4, math.pi / 2)
@@ -398,6 +401,17 @@ class TestErrorScalingSweep:
             error_scaling_sweep(SQUEEZED, EstimationMethod.Q_JOINT,
                                 [100, 100], trials=2, seed=0)
 
+    @pytest.mark.parametrize("method", list(EstimationMethod))
+    @pytest.mark.parametrize("n_grid", [[-3], [0], [1], [1, 30]])
+    def test_rejects_sample_sizes_below_two_before_drawing(self, method, n_grid,
+                                                           monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew trials for a rejected grid")
+
+        monkeypatch.setattr(estimation, "_monte_carlo", no_draws)
+        with pytest.raises(ValueError, match=">= 2"):
+            error_scaling_sweep(SQUEEZED, method, n_grid, trials=2, seed=0)
+
 
 def _records_trial(state, n, rng):
     """The three-quadrature trial computed from m homodyne records per phase."""
@@ -461,3 +475,147 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _pipeline_purity(state, n, seed):
+    """What the Q trial replays: sample_q, moments_from_q, purity_from_moments."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    try:
+        return purity_from_moments(moments_from_q(sample_q(state, n, rng)))
+    except DegenerateSampleError:
+        return "degenerate"
+
+
+def _trial_purity(state, n, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    try:
+        mu, ci = _q_trial(state, n, rng)
+    except DegenerateSampleError:
+        return "degenerate"
+    assert all(math.isnan(b) for b in ci)
+    return mu
+
+
+DISPLACED = GaussianState.from_params(GaussianParams(x0=40.0, p0=-7.5, nbar=0.3,
+                                                     r=0.8, phi=2.1))
+
+
+class TestQTrial:
+    @pytest.mark.parametrize("state", [SQUEEZED, DISPLACED], ids=["squeezed", "displaced"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 1_000, 4_097, 100_001])
+    def test_bit_equal_to_the_public_pipeline(self, state, n):
+        seeds = range(3 if n > 10_000 else 40)
+        got = [_trial_purity(state, n, s) for s in seeds]
+        assert got == [_pipeline_purity(state, n, s) for s in seeds]
+        if n == 1_000:
+            assert "degenerate" not in got
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_degenerate_small_trials_agree(self, n):
+        got = [_trial_purity(SQUEEZED, n, s) for s in range(60)]
+        assert got == [_pipeline_purity(SQUEEZED, n, s) for s in range(60)]
+        assert "degenerate" in got
+        assert (n == 2) == (set(got) == {"degenerate"})     # a rank-1 sample at n = 2
+
+    def test_buffer_reuse_across_sizes_keeps_the_bits(self):
+        for n in (7, 7, 1_000, 3, 1_000, 7):
+            assert _trial_purity(DISPLACED, n, n) == _pipeline_purity(DISPLACED, n, n)
+
+    def test_too_few_pairs(self):
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(ValueError):
+            _q_trial(SQUEEZED, 0, rng)
+        with pytest.raises(InsufficientDataError):
+            _q_trial(SQUEEZED, 1, rng)
+        with pytest.raises(PhysicalityError):
+            _q_trial(GaussianState(cov=CovMatrix(sxx=0.4, spp=0.4)), 10, rng)
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(estimation.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+class TestParallelMonteCarlo:
+    WORKERS = (1, 2, 3)
+
+    @pytest.mark.parametrize("experiment, kw", [
+        ("fig_varnx", dict(n_grid=[10, 300, 3_000])),
+        ("fig_trequad", dict(n_grid=[6, 300, 3_000])),
+        ("fig_varr", dict(r_grid=[0.0, 1.0])),
+        ("fig_varnth", dict(nbar_grid=[0.0, 2.0])),
+    ])
+    @pytest.mark.parametrize("trials", [1, 2, 7])
+    def test_runners_do_not_depend_on_the_worker_count(self, experiment, kw, trials,
+                                                       monkeypatch):
+        config = ExperimentConfig(experiment=experiment, trials=trials, seed=9,
+                                  resamples=50, **kw)
+        reports = []
+        for workers in self.WORKERS:
+            _cores(monkeypatch, workers)
+            reports.append(json.dumps(run_experiment(config).rows))
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("method, n_grid", [
+        (EstimationMethod.Q_JOINT, [4, 10, 1_000, 20_000]),
+        (EstimationMethod.THREE_QUADRATURE, [6, 30, 3_000, 300_000]),
+    ])
+    def test_sweeps_do_not_depend_on_the_worker_count(self, method, n_grid,
+                                                      monkeypatch):
+        sweeps = []
+        for workers in self.WORKERS:
+            _cores(monkeypatch, workers)
+            sweeps.append(error_scaling_sweep(SQUEEZED, method, n_grid, trials=11, seed=4))
+        assert repr(sweeps[0]) == repr(sweeps[1]) == repr(sweeps[2])
+        assert sweeps[0][0].n_degenerate > 0
+
+    @pytest.mark.parametrize("trial", [_q_trial, _three_quadrature_trial])
+    def test_worker_errors_reach_the_caller(self, trial, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        bad = GaussianState(cov=CovMatrix(sxx=0.4, spp=0.4))     # det 0.16 < 1/4
+        for workers in self.WORKERS:
+            _cores(monkeypatch, workers)
+            with pytest.raises(PhysicalityError):
+                _monte_carlo([(SQUEEZED, 30), (bad, 30)], 5, 0, trial)
+        assert hooked == []
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        def pure_python(state, n, rng):
+            u = sum(rng.random() for _ in range(n))
+            if u < n * 0.45:
+                raise DegenerateSampleError(repr(u))
+            return u, (u, u)
+
+        points = [(None, n) for n in (5, 40, 200)]
+        _cores(monkeypatch, 1)
+        serial = _monte_carlo(points, 23, 8, pure_python)
+        _cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _monte_carlo(points, 23, 8, pure_python)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(threaded) == repr(serial)
+        assert all(0 < degenerate < 23 for _, _, degenerate in serial)
+
+    def test_the_lowest_failing_trial_is_raised(self, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        def flaky(state, n, rng):
+            u = rng.random()
+            if u < 0.3:
+                raise RuntimeError(repr(u))
+            return u, (math.nan, math.nan)
+
+        raised = []
+        for workers in self.WORKERS:
+            _cores(monkeypatch, workers)
+            for seed in range(12):
+                with pytest.raises(RuntimeError) as info:
+                    _monte_carlo([(None, 1)] * 3, 8, seed, flaky)
+                raised.append(str(info.value))
+        assert raised[:12] == raised[12:24] == raised[24:]
+        assert hooked == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gausspurity.estimation as estimation
+import gausspurity.experiments as experiments
 from gausspurity import (BathParams, ExperimentConfig, GaussianParams,
                          GaussianState, QSampleBatch, cov_from_params, emit,
                          integrate_cov_ode, purity, run_experiment)
@@ -126,13 +127,15 @@ class TestRunners:
     def test_varnth_honours_explicit_squeezing(self, monkeypatch):
         assert ExperimentConfig(experiment="fig_varnth").state.r == 1.0
         sampled = []
-        real_sample_q = estimation.sample_q
+        real_q_trial = experiments._q_trial
 
-        def recording_sample_q(state, n, rng):
+        def recording_q_trial(state, n, rng):
             sampled.append(state.cov)
-            return real_sample_q(state, n, rng)
+            return real_q_trial(state, n, rng)
 
-        monkeypatch.setattr(estimation, "sample_q", recording_sample_q)
+        # one worker, so the trials arrive in child order
+        monkeypatch.setattr(estimation.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(experiments, "_q_trial", recording_q_trial)
         nbar_grid = [0.0, 1.0]
         config = ExperimentConfig(experiment="fig_varnth", nbar_grid=nbar_grid,
                                   state=GaussianParams(nbar=0.5, r=1.5),
@@ -162,6 +165,12 @@ class TestRunners:
             ExperimentConfig(experiment="fig_varnx", n_grid=[100, 100])
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig_varnx", trials=0)
+
+    @pytest.mark.parametrize("experiment", ["fig_varnx", "fig_trequad"])
+    @pytest.mark.parametrize("n_grid", [[-3], [0], [1], [1, 30]])
+    def test_sample_sizes_below_two_rejected(self, experiment, n_grid):
+        with pytest.raises(ValueError, match=">= 2"):
+            ExperimentConfig(experiment=experiment, n_grid=n_grid)
 
     def test_unknown_experiment_lists_every_runner(self):
         with pytest.raises(ValueError) as info:
