@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
-from .sampling import HomodyneBatch, QSampleBatch, homodyne_variance, make_rng
+from .sampling import HomodyneBatch, QSampleBatch, _homodyne_variance, _q_pairs, make_rng
 from .states import CovMatrix, GaussianState, purity
 
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
@@ -105,7 +105,13 @@ def _q_cov(batch: QSampleBatch) -> np.ndarray:
     """Unbiased 2x2 sample covariance of the Q-pairs, vacuum noise included."""
     if batch.n < 2:
         raise InsufficientDataError(f"need at least 2 Q-samples, got {batch.n}")
-    return np.cov(batch.pairs, rowvar=False, ddof=1)
+    return _cov_in_place(np.array(batch.pairs))
+
+
+def _cov_in_place(z: np.ndarray) -> np.ndarray:
+    """np.cov(z, rowvar=False) of (n, 2) pairs by its own steps and bits; centres z."""
+    z -= z.T.mean(axis=1)
+    return np.dot(z.T, z) * (1 / (len(z) - 1))
 
 
 def _moments_of(batch: QSampleBatch, c: np.ndarray) -> MomentEstimate:
@@ -250,6 +256,10 @@ def purity_from_three_quadratures(var0: float, var45: float, var90: float) -> fl
     Exact when fed analytic variances; with sample variances the bracket
     can go non-positive, which raises DegenerateSampleError.
     """
+    return _three_quadrature_purity(var0, var45, var90)
+
+
+def _three_quadrature_purity(var0: float, var45: float, var90: float) -> float:
     bracket = 4.0 * var45 * (var0 + var90 - var45) - (var0 - var90) ** 2
     if bracket <= 0:
         raise DegenerateSampleError(
@@ -322,22 +332,10 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
 
 
 def _q_trial(state: GaussianState, n: int, rng: np.random.Generator):
-    """Q-method point estimate from n pairs drawn into the thread's buffer; no interval.
-
-    Bit for bit purity_from_moments(moments_from_q(sample_q(state, n, rng))).
-    """
-    state.cov.require_physical()
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 Q-samples, got {n}")
-    chol = np.linalg.cholesky(state.cov.matrix + 0.5 * np.eye(2))   # of q_covariance(state)
+    """Q-method point estimate from n >= 2 pairs in the thread's reused buffer; no interval."""
     if len(getattr(_worker, "z", ())) != n:
         _worker.z = np.empty((n, 2))
-    z = rng.standard_normal(out=_worker.z)
-    for block in np.split(z, range(4096, n, 4096)):     # small overlap copies, same bits
-        np.matmul(block, chol.T, out=block)
-    z += state.mean
-    z -= z.T.mean(axis=1)           # as np.cov: mean over the (2, n) view, dot, scale
-    c = np.dot(z.T, z) * (1 / (n - 1))
+    c = _cov_in_place(_q_pairs(state, n, rng, _worker.z))
     return (_plug_in_purity(float(c[0, 0]) - 0.5, float(c[1, 1]) - 0.5, float(c[0, 1])),
             (math.nan, math.nan))
 
@@ -350,9 +348,9 @@ def _three_quadrature_trial(state: GaussianState, n: int, rng: np.random.Generat
     """
     state.cov.require_physical()
     m = max(2, n // 3)
-    v = [homodyne_variance(state, th) * rng.chisquare(m - 1) / (m - 1)
+    v = [_homodyne_variance(state.cov, th) * rng.chisquare(m - 1) / (m - 1)
          for th in THREE_QUADRATURE_PHASES]
-    return purity_from_three_quadratures(*v), (math.nan, math.nan)
+    return _three_quadrature_purity(*v), (math.nan, math.nan)
 
 
 def _monte_carlo(points, trials: int, seed, trial) -> list:
@@ -363,7 +361,9 @@ def _monte_carlo(points, trials: int, seed, trial) -> list:
     trial that raises DegenerateSampleError is counted, not kept.  Worker w of
     min(cores, trials) threads (0: the caller) runs each j = w mod workers, so
     no result depends on that count; any other error is re-raised from the
-    lowest failing k, as a serial loop would raise it.
+    lowest failing k, as a serial loop would raise it.  _q_trial and
+    _three_quadrature_trial call no public function, so wrappers put on public
+    names run on the calling thread alone.
     """
     children = np.random.SeedSequence(seed).spawn(len(points) * trials)
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -133,18 +133,29 @@ def _read_csv(path, header: str) -> np.ndarray:
 
 def q_covariance(state: GaussianState) -> np.ndarray:
     """Covariance sigma + I/2 of the Husimi Q-function of the state."""
+    return _q_covariance(state)
+
+
+def _q_covariance(state: GaussianState) -> np.ndarray:
     return state.cov.matrix + 0.5 * np.eye(2)
 
 
 def sample_q(state: GaussianState, n: int, seed) -> QSampleBatch:
     """Draw n joint-quadrature pairs from the Q-function of the state."""
+    return QSampleBatch(pairs=_q_pairs(state, n, make_rng(seed)))
+
+
+def _q_pairs(state: GaussianState, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """n Q-pairs mean + z chol^T, drawn into out (a new (n, 2) array if None) in place."""
     state.cov.require_physical()
     if n < 1:
         raise ValueError(f"need n >= 1 Q-samples, got {n}")
-    rng = make_rng(seed)
-    chol = np.linalg.cholesky(q_covariance(state))
-    z = rng.standard_normal((n, 2))
-    return QSampleBatch(pairs=state.mean + z @ chol.T)
+    chol = np.linalg.cholesky(_q_covariance(state))
+    z = rng.standard_normal((n, 2), out=out)
+    for block in np.split(z, range(4096, n, 4096)):     # small overlap copies, same bits
+        np.matmul(block, chol.T, out=block)
+    z += state.mean
+    return z
 
 
 def homodyne_variance(state: GaussianState, theta: float) -> float:
@@ -155,8 +166,11 @@ def homodyne_variance(state: GaussianState, theta: float) -> float:
     convention used throughout, the squeezed principal axis of a state
     with angle phi sits at quadrature phase -phi.
     """
+    return _homodyne_variance(state.cov, theta)
+
+
+def _homodyne_variance(cov, theta: float) -> float:
     c, s = math.cos(theta), math.sin(theta)
-    cov = state.cov
     return cov.sxx * c * c + 2.0 * cov.sxp * c * s + cov.spp * s * s
 
 

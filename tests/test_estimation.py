@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import os
@@ -19,8 +21,10 @@ from gausspurity import (CovMatrix, DegenerateSampleError, EstimationMethod,
                          moments_from_q, purity, purity_from_moments,
                          purity_from_q, purity_from_three_quadratures,
                          sample_homodyne, sample_q)
-from gausspurity.estimation import _monte_carlo, _q_trial, _three_quadrature_trial
+from gausspurity.estimation import (_cov_in_place, _monte_carlo, _q_trial,
+                                    _three_quadrature_trial)
 from gausspurity.experiments import ExperimentConfig, run_experiment
+from gausspurity.sampling import _q_pairs, q_covariance
 
 SQUEEZED = GaussianState.from_params(GaussianParams(nbar=0.5, r=1.5))
 PHASES = (0.0, math.pi / 4, math.pi / 2)
@@ -133,13 +137,13 @@ class TestPurityFromQ:
         batch = sample_q(SQUEEZED, 5_000, seed=15)
         before = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
         calls = []
-        real_cov = np.cov
+        real_cov = estimation._cov_in_place
 
         def counting_cov(*args, **kwargs):
             calls.append(1)
             return real_cov(*args, **kwargs)
 
-        monkeypatch.setattr(np, "cov", counting_cov)
+        monkeypatch.setattr(estimation, "_cov_in_place", counting_cov)
         after = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
         assert len(calls) == 1
         assert after == before
@@ -478,7 +482,7 @@ def test_runtime_imports_no_scipy():
 
 
 def _pipeline_purity(state, n, seed):
-    """What the Q trial replays: sample_q, moments_from_q, purity_from_moments."""
+    """What the Q trial computes: sample_q, moments_from_q, purity_from_moments."""
     rng = np.random.Generator(np.random.Philox(seed))
     try:
         return purity_from_moments(moments_from_q(sample_q(state, n, rng)))
@@ -498,11 +502,33 @@ def _trial_purity(state, n, seed):
 
 DISPLACED = GaussianState.from_params(GaussianParams(x0=40.0, p0=-7.5, nbar=0.3,
                                                      r=0.8, phi=2.1))
+Q_SIZES = [2, 3, 7, 1_000, 4_097, 100_001]
 
 
 class TestQTrial:
     @pytest.mark.parametrize("state", [SQUEEZED, DISPLACED], ids=["squeezed", "displaced"])
-    @pytest.mark.parametrize("n", [2, 3, 7, 1_000, 4_097, 100_001])
+    @pytest.mark.parametrize("n", Q_SIZES)
+    def test_pairs_are_the_one_shot_product(self, state, n):
+        """The blocked in-place product gives the bits of mean + z @ chol^T."""
+        for seed in range(3):
+            z = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 2))
+            chol = np.linalg.cholesky(q_covariance(state))
+            out = np.empty((n, 2))
+            got = _q_pairs(state, n, np.random.Generator(np.random.Philox(seed)), out)
+            assert got is out
+            assert np.array_equal(got, state.mean + z @ chol.T)
+
+    @pytest.mark.parametrize("state", [SQUEEZED, DISPLACED], ids=["squeezed", "displaced"])
+    @pytest.mark.parametrize("n", Q_SIZES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_covariance_is_np_cov(self, state, n, order):
+        pairs = np.asarray(sample_q(state, n, seed=n).pairs, order=order)
+        want = np.cov(pairs, rowvar=False, ddof=1)
+        assert np.array_equal(_cov_in_place(np.array(pairs)), want)
+        assert np.array_equal(estimation._q_cov(QSampleBatch(pairs=pairs)), want)
+
+    @pytest.mark.parametrize("state", [SQUEEZED, DISPLACED], ids=["squeezed", "displaced"])
+    @pytest.mark.parametrize("n", Q_SIZES)
     def test_bit_equal_to_the_public_pipeline(self, state, n):
         seeds = range(3 if n > 10_000 else 40)
         got = [_trial_purity(state, n, s) for s in seeds]
@@ -521,14 +547,10 @@ class TestQTrial:
         for n in (7, 7, 1_000, 3, 1_000, 7):
             assert _trial_purity(DISPLACED, n, n) == _pipeline_purity(DISPLACED, n, n)
 
-    def test_too_few_pairs(self):
-        rng = np.random.Generator(np.random.Philox(0))
-        with pytest.raises(ValueError):
-            _q_trial(SQUEEZED, 0, rng)
-        with pytest.raises(InsufficientDataError):
-            _q_trial(SQUEEZED, 1, rng)
+    def test_unphysical_state(self):
         with pytest.raises(PhysicalityError):
-            _q_trial(GaussianState(cov=CovMatrix(sxx=0.4, spp=0.4)), 10, rng)
+            _q_trial(GaussianState(cov=CovMatrix(sxx=0.4, spp=0.4)), 10,
+                     np.random.Generator(np.random.Philox(0)))
 
 
 def _cores(monkeypatch, count):
@@ -579,6 +601,30 @@ class TestParallelMonteCarlo:
             with pytest.raises(PhysicalityError):
                 _monte_carlo([(SQUEEZED, 30), (bad, 30)], 5, 0, trial)
         assert hooked == []
+
+    def test_worker_threads_call_no_public_function(self, monkeypatch):
+        """Trials off the calling thread stay inside private helpers."""
+        off_main = []
+
+        def recording(fn):
+            def call(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(fn.__qualname__)
+                return fn(*args, **kwargs)
+            return call
+
+        for layer in ("states", "sampling", "estimation", "channel", "experiments"):
+            module = importlib.import_module(f"gausspurity.{layer}")
+            for name, obj in list(vars(module).items()):
+                if (not name.startswith("_") and inspect.isfunction(obj)
+                        and obj.__module__.startswith("gausspurity.")):
+                    monkeypatch.setattr(module, name, recording(obj))
+        _cores(monkeypatch, 3)
+        for method in EstimationMethod:
+            error_scaling_sweep(SQUEEZED, method, [30, 3_000], trials=7, seed=2)
+        for experiment in ("fig_varnx", "fig_trequad", "fig_varr", "fig_varnth"):
+            run_experiment(ExperimentConfig(experiment=experiment, trials=4, seed=2))
+        assert off_main == []
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         def pure_python(state, n, rng):
