@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalBathError, UnsupportedConditionError
-from .states import _R_EPS, CovMatrix, GaussianParams, GaussianState
+from .states import (CovMatrix, GaussianParams, GaussianState, _spectral, _squeezing,
+                     _with_det)
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,9 @@ class ChannelAsymptote:
 
 
 def validate_bath(bath: BathParams) -> BathParams:
-    """Check gamma > 0, N >= 0 and the positivity bound |M|^2 <= N(N+1)."""
+    """Check finite values, gamma > 0, N >= 0 and the positivity bound |M|^2 <= N(N+1)."""
+    if not all(map(math.isfinite, (bath.gamma, bath.N, bath.M1, bath.M2))):
+        raise UnphysicalBathError(f"bath parameters must be finite, got {bath}")
     if bath.gamma <= 0:
         raise UnphysicalBathError(f"damping rate must satisfy gamma > 0, got {bath.gamma}")
     if bath.N < 0:
@@ -69,23 +72,19 @@ def validate_bath(bath: BathParams) -> BathParams:
 
 
 def asymptotic_cov(bath: BathParams) -> CovMatrix:
-    """Asymptotic covariance matrix sigma_inf of the channel."""
+    """Asymptotic covariance sigma_inf of the channel, carrying det ((2N+1)^2 - 4|M|^2)/4."""
     validate_bath(bath)
     half = (2.0 * bath.N + 1.0) / 2.0
-    return CovMatrix(sxx=half + bath.M1, spp=half - bath.M1, sxp=bath.M2)
+    return _with_det(half + bath.M1, half - bath.M1, bath.M2,
+                     ((2.0 * bath.N + 1.0) ** 2 - 4.0 * bath.m_abs2) / 4.0)
 
 
 def channel_asymptote(bath: BathParams) -> ChannelAsymptote:
     """Asymptotic (mu, r, phi, nbar) reached by every input state."""
-    validate_bath(bath)
-    mu_inf = ((2.0 * bath.N + 1.0) ** 2 - 4.0 * bath.m_abs2) ** -0.5
-    # sinh(2 r_inf) = 2 mu_inf |M|: asinh keeps its digits as |M| -> 0
-    r_inf = 0.5 * math.asinh(2.0 * mu_inf * math.hypot(bath.M1, bath.M2))
-    if r_inf < _R_EPS:
-        phi_inf = 0.0
-    else:
-        phi_inf = (0.5 * math.atan2(2.0 * bath.M2, -2.0 * bath.M1)) % math.pi
-    return ChannelAsymptote(mu_inf=mu_inf, r_inf=r_inf, phi_inf=phi_inf,
+    mu_inf = 0.5 / math.sqrt(asymptotic_cov(bath).det)
+    # sigma_inf has 2*sxp = 2*M2 and spp - sxx = -2*M1
+    r_inf, phi_inf = _squeezing(mu_inf, 2.0 * bath.M2, -2.0 * bath.M1)
+    return ChannelAsymptote(mu_inf=mu_inf, r_inf=float(r_inf), phi_inf=float(phi_inf),
                             nbar_inf=(1.0 / mu_inf - 1.0) / 2.0)
 
 
@@ -106,76 +105,59 @@ def _like_t(values):
     return float(values) if values.ndim == 0 else values
 
 
-def _evolved(state: GaussianState, bath: BathParams, t):
-    """(sxx, spp, sxp, x0, p0) at time t, as scalars or arrays like t."""
+def _evolved(cov: CovMatrix, bath: BathParams, eta, om):
+    """(sxx, spp, sxp, det) of sigma(t) = sigma_inf*om + sigma(0)*eta, (eta, om) = _relaxation.
+
+    det is expanded in det(sigma_inf), det(sigma(0)) and tr(adj(sigma_inf) sigma(0)),
+    not taken from sigma(t)'s entries, which cancel at large squeezing."""
     sinf = asymptotic_cov(bath)
-    eta, om = _relaxation(bath, t)
-    damp = np.exp(-0.5 * bath.gamma * np.asarray(t, dtype=float))
-    cov = state.cov
+    cross = sinf.sxx * cov.spp + sinf.spp * cov.sxx - 2.0 * sinf.sxp * cov.sxp
     return (sinf.sxx * om + cov.sxx * eta, sinf.spp * om + cov.spp * eta,
-            sinf.sxp * om + cov.sxp * eta, state.x0 * damp, state.p0 * damp)
+            sinf.sxp * om + cov.sxp * eta,
+            sinf.det * om * om + cov.det * eta * eta + cross * om * eta)
 
 
 def evolve_cov(state: GaussianState, bath: BathParams, t: float) -> GaussianState:
     """Exact state at time t: convex combination of sigma(0) and sigma_inf.
 
-    First moments are damped as e^{-gamma t/2} (the channel absorbs the
-    coherent photons of the state).
+    First moments are damped as e^{-gamma t/2} (the channel absorbs the coherent
+    photons of the state); the covariance carries det sigma(t) as mu_of_t expands it.
     """
     state.cov.require_physical()
-    sxx, spp, sxp, x0, p0 = (float(v) for v in _evolved(state, bath, t))
-    return GaussianState(cov=CovMatrix(sxx=sxx, spp=spp, sxp=sxp), x0=x0, p0=p0)
+    cov = _with_det(*(float(v) for v in _evolved(state.cov, bath, *_relaxation(bath, t))))
+    damp = float(np.exp(-0.5 * bath.gamma * np.asarray(t, dtype=float)))
+    return GaussianState(cov=cov, x0=state.x0 * damp, p0=state.p0 * damp)
 
 
 def _closed_forms(state0: GaussianParams, bath: BathParams, t):
-    """(mu(t), r(t), phi(t)) from one expansion of sigma(t), each like t.
+    """(mu, r, phi, sxx, spp, sxp) of the input state0 at t, each like t, in one pass.
 
-    The bath is validated once per call whatever the number of times.
-    num and den are mu0 * (2*sigma_xp(t), sigma_pp(t) - sigma_xx(t)), the
-    numerator and denominator of tan(2*phi(t)), and
-    hypot(num, den) * mu(t)/mu0 = sinh(2r(t)).
-    """
-    asym = channel_asymptote(bath)
+    spp - sxx of sigma(t) comes from -2*M1 and that of sigma(0), not from its
+    entries, so r(t) keeps its digits as the squeezing vanishes."""
+    cov0, gap0 = _spectral((2.0 * state0.nbar + 1.0) / 2.0, state0.r, state0.phi)
     eta, om = _relaxation(bath, t)
-    mu0 = state0.mu
-    ch, sh = math.cosh(2.0 * state0.r), math.sinh(2.0 * state0.r)
-    c2, s2 = math.cos(2.0 * state0.phi), math.sin(2.0 * state0.phi)
-    cross = (2.0 * bath.N + 1.0) * ch + 2.0 * sh * (bath.M1 * c2 - bath.M2 * s2)
-    bracket = (mu0**2 / asym.mu_inf**2) * om**2 + eta**2 + 2.0 * mu0 * cross * om * eta
-    num = 2.0 * mu0 * bath.M2 * om + sh * s2 * eta
-    den = -2.0 * mu0 * bath.M1 * om + sh * c2 * eta
-    mu, amplitude = mu0 / np.sqrt(bracket), np.hypot(num, den)
-    phi = np.where(amplitude < 1e-300, 0.0, (0.5 * np.arctan2(num, den)) % math.pi)
-    return _like_t(mu), _like_t(0.5 * np.arcsinh(mu / mu0 * amplitude)), _like_t(phi)
+    sxx, spp, sxp, det = _evolved(cov0, bath, eta, om)
+    mu = 0.5 / np.sqrt(det)
+    return (mu, *_squeezing(mu, 2.0 * sxp, gap0 * eta - 2.0 * bath.M1 * om), sxx, spp, sxp)
 
 
 def mu_of_t(state0: GaussianParams, bath: BathParams, t):
-    """Purity at time t (a scalar or an array) of the evolved state, in closed form.
-
-    Agrees with purity(evolve_cov(...)) to better than 1e-10; the closed
-    form is the expansion of det(sigma(t)) for the convex combination.
-    """
-    return _closed_forms(state0, bath, t)[0]
+    """Purity at time t (a scalar or an array) of the evolved state, from the expanded det."""
+    return _like_t(_closed_forms(state0, bath, t)[0])
 
 
 def r_of_t(state0: GaussianParams, bath: BathParams, t):
-    """Squeezing magnitude at time t (a scalar or an array), in closed form.
-
-    sinh(2r(t)) = mu(t) * sqrt((sigma_xx - sigma_pp)^2 + 4 sigma_xp^2) is
-    fed to asinh, which keeps full relative precision as r(t) -> 0.
-    """
-    return _closed_forms(state0, bath, t)[1]
+    """Squeezing magnitude at time t (a scalar or an array), in closed form, exact as r -> 0."""
+    return _like_t(_closed_forms(state0, bath, t)[1])
 
 
 def phi_of_t(state0: GaussianParams, bath: BathParams, t):
     """Squeezing angle at time t (a scalar or an array), normalized to [0, pi).
 
-    Numerator and denominator of the tan(2*phi(t)) closed form are fed to
-    atan2 separately, which keeps the angle consistent with the actual
-    covariance matrix at all times.  In a thermal bath (M = 0) the angle
-    is constant; when the squeezing vanishes the angle is set to 0.
+    atan2 keeps the angle consistent with sigma(t) at all times.  In a thermal
+    bath (M = 0) the angle is constant; when the squeezing vanishes it is set to 0.
     """
-    return _closed_forms(state0, bath, t)[2]
+    return _like_t(_closed_forms(state0, bath, t)[2])
 
 
 def mu_optimal(mu0: float, bath: BathParams, t: float) -> float:
@@ -272,10 +254,10 @@ class Trajectory:
 
     @property
     def states(self) -> list:
-        """The evolved GaussianState at each time, built on demand."""
-        return [GaussianState(cov=CovMatrix(sxx=float(a), spp=float(b), sxp=float(c)),
-                              x0=float(x), p0=float(p))
-                for a, b, c, x, p in zip(self.sxx, self.spp, self.sxp, self.x0, self.p0)]
+        """The evolved GaussianState at each time, built on demand, with det 1/(2 mu)^2."""
+        return [GaussianState(_with_det(float(a), float(b), float(c), 0.25 / float(mu)**2),
+                              float(x), float(p)) for a, b, c, mu, x, p in
+                zip(self.sxx, self.spp, self.sxp, self.mus, self.x0, self.p0)]
 
     def to_csv(self, path):
         import csv
@@ -291,7 +273,6 @@ class Trajectory:
 def trajectory(state0: GaussianParams, bath: BathParams, times) -> Trajectory:
     """Evaluate the analytic evolution on a time grid (physical times)."""
     times = np.asarray(times, dtype=float)
-    initial = GaussianState.from_params(state0)
-    initial.cov.require_physical()
+    damp = np.exp(-0.5 * bath.gamma * times)
     return Trajectory(bath.gamma * times, *_closed_forms(state0, bath, times),
-                      *_evolved(initial, bath, times))
+                      state0.x0 * damp, state0.p0 * damp)

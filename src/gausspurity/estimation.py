@@ -308,7 +308,7 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
                         n_grid, trials: int, seed) -> list:
     """Mean relative error |mu_hat - mu|/mu versus the number of data.
 
-    For the three-quadrature method the budget n is split as n//3
+    For the three-quadrature method the budget n >= 6 is split as n//3
     detections per quadrature, and degenerate trials are counted rather
     than silently dropped.  Both the across-trial mean and the
     across-trial standard deviation of the relative error are reported.
@@ -316,6 +316,8 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     n_grid = [int(n) for n in n_grid]
     if not n_grid or n_grid[0] < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be non-empty, ascending and >= 2, got {n_grid}")
+    if method == EstimationMethod.THREE_QUADRATURE:
+        _check_three_quadrature_budgets(n_grid)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     mu_true = purity(state.cov)
@@ -331,6 +333,13 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     return rows
 
 
+def _check_three_quadrature_budgets(n_grid):
+    """Reject budgets below 6: each of the three phases needs n//3 >= 2 values."""
+    if n_grid[0] < 6:
+        raise ValueError(f"three-quadrature budgets are split as n//3 per phase and "
+                         f"need n//3 >= 2, that is n >= 6, got {n_grid}")
+
+
 def _q_trial(state: GaussianState, n: int, rng: np.random.Generator):
     """Q-method point estimate from n >= 2 pairs in the thread's reused buffer; no interval."""
     if len(getattr(_worker, "z", ())) != n:
@@ -341,13 +350,13 @@ def _q_trial(state: GaussianState, n: int, rng: np.random.Generator):
 
 
 def _three_quadrature_trial(state: GaussianState, n: int, rng: np.random.Generator):
-    """Three-quadrature point estimate from a budget of n, m = max(2, n//3) per phase.
+    """Three-quadrature point estimate from a budget of n >= 6, m = n//3 per phase.
 
     Each phase draws its sample variance from the law of m Gaussian homodyne
     values, (u^T sigma u) * chi2_{m-1}/(m-1), instead of the m records.
     """
     state.cov.require_physical()
-    m = max(2, n // 3)
+    m = n // 3
     v = [_homodyne_variance(state.cov, th) * rng.chisquare(m - 1) / (m - 1)
          for th in THREE_QUADRATURE_PHASES]
     return _three_quadrature_purity(*v), (math.nan, math.nan)

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .channel import (BathParams, GaussianParams, integrate_cov_ode, mu_of_t,
                       trajectory, validate_bath)
-from .estimation import (_monte_carlo, _q_trial, _three_quadrature_trial,
-                         purity_from_q)
+from .estimation import (_check_three_quadrature_budgets, _monte_carlo, _q_trial,
+                         _three_quadrature_trial, purity_from_q)
 from .sampling import sample_q
 from .states import GaussianState, purity
 
@@ -80,6 +80,8 @@ class ExperimentConfig:
                                      f"ascending, got {grid}")
                 if name == "n_grid" and grid[0] < 2:
                     raise ValueError(f"n_grid values must be >= 2, got {grid}")
+                if name == "n_grid" and self.experiment == "fig_trequad":
+                    _check_three_quadrature_budgets(grid)
                 setattr(self, name, grid)
 
     def to_dict(self) -> dict:
@@ -171,7 +173,7 @@ def run_fig_varnx(config: ExperimentConfig) -> ExperimentReport:
 def run_fig_trequad(config: ExperimentConfig) -> ExperimentReport:
     """Three-quadrature estimate versus the number of data.
 
-    n is the total budget, split as n//3 detections per quadrature.
+    n >= 6 is the total budget, split as n//3 detections per quadrature.
     Degenerate trials are flagged in their own column, never dropped
     silently.
     """

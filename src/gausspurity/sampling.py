@@ -152,7 +152,9 @@ def _q_pairs(state: GaussianState, n: int, rng: np.random.Generator, out=None) -
         raise ValueError(f"need n >= 1 Q-samples, got {n}")
     chol = np.linalg.cholesky(_q_covariance(state))
     z = rng.standard_normal((n, 2), out=out)
-    for block in np.split(z, range(4096, n, 4096)):     # small overlap copies, same bits
+    # small overlap copies, same bits; no block of one row, which numpy
+    # multiplies by another kernel with other roundings
+    for block in np.split(z, range(4096, n - 1, 4096)):
         np.matmul(block, chol.T, out=block)
     z += state.mean
     return z
@@ -170,8 +172,13 @@ def homodyne_variance(state: GaussianState, theta: float) -> float:
 
 
 def _homodyne_variance(cov, theta: float) -> float:
+    """u^T sigma u; where v^T sigma v is larger, v = u turned by pi/2, from the identity
+    (u^T sigma u)(v^T sigma v) - (u^T sigma v)^2 = det sigma, which cancels nowhere."""
     c, s = math.cos(theta), math.sin(theta)
-    return cov.sxx * c * c + 2.0 * cov.sxp * c * s + cov.spp * s * s
+    var = cov.sxx * c * c + 2.0 * cov.sxp * c * s + cov.spp * s * s
+    var_v = cov.sxx * s * s - 2.0 * cov.sxp * c * s + cov.spp * c * c
+    cross = (cov.spp - cov.sxx) * c * s + cov.sxp * (c * c - s * s)
+    return var if var >= var_v else (cov.det + cross * cross) / var_v
 
 
 def homodyne_mean(state: GaussianState, theta: float) -> float:

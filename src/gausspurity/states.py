@@ -7,20 +7,22 @@ matrix satisfies det(sigma) >= 1/4.
 A state is described either phenomenologically, by displacement (x0, p0),
 mean thermal photon number nbar, squeezing magnitude r and squeezing angle
 phi, or canonically by the first-moment vector and the symmetric 2x2
-covariance matrix.  The two parametrizations are connected by
+covariance matrix.  With c = (2*nbar + 1)/2 the two are connected by
 
-    sigma_xx = (2*nbar + 1)/2 * (cosh(2r) - sinh(2r)*cos(2*phi))
-    sigma_pp = (2*nbar + 1)/2 * (cosh(2r) + sinh(2r)*cos(2*phi))
-    sigma_xp = (2*nbar + 1)/2 * sinh(2r)*sin(2*phi)
+    sigma_xx = c * (e^{-2r}*cos(phi)^2 + e^{2r}*sin(phi)^2)
+    sigma_pp = c * (e^{-2r}*sin(phi)^2 + e^{2r}*cos(phi)^2)
+    sigma_xp = c * sinh(2r)*sin(2*phi),
 
-and the purity of the state is mu = 1/(2*sqrt(det sigma)) = 1/(2*nbar + 1),
-independent of displacement and squeezing.
+sums and products that cancel at no squeezing.  Such a covariance carries its
+exact det c^2, so the purity mu = 1/(2*sqrt(det sigma)) = 1/(2*nbar + 1),
+independent of displacement and squeezing, holds to the last bit at any r.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,6 +37,8 @@ PHYSICALITY_RTOL = 1e-10
 
 # Below this squeezing magnitude the angle is undefined; fixed to phi = 0.
 _R_EPS = 1e-12
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class PhasePoint(NamedTuple):
@@ -57,10 +61,16 @@ class GaussianParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.p0, self.nbar, self.r, self.phi))):
+            raise ValueError(f"state parameters must be finite, got {self}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
         if self.r < 0:
             raise ValueError(f"r must be >= 0, got {self.r}")
+        # the largest entry of sigma is about (nbar + 1/2) * e^{2r}
+        if 2.0 * self.r + max(0.0, math.log(self.nbar + 0.5)) > _LOG_FLOAT_MAX:
+            raise ValueError(f"r = {self.r} at nbar = {self.nbar} overflows the "
+                             "covariance entries")
         phi = self.phi % math.pi
         if self.r < _R_EPS:
             phi = 0.0
@@ -79,10 +89,11 @@ class CovMatrix:
     sxx: float
     spp: float
     sxp: float = 0.0
+    _det = None         # not a field: det, where known more exactly than from the entries
 
     @property
     def det(self) -> float:
-        return self.sxx * self.spp - self.sxp**2
+        return self.sxx * self.spp - self.sxp**2 if self._det is None else self._det
 
     @property
     def matrix(self) -> np.ndarray:
@@ -134,34 +145,41 @@ class GaussianState:
                    x0=d.get("x0", 0.0), p0=d.get("p0", 0.0))
 
 
+def _with_det(sxx, spp, sxp, det) -> CovMatrix:
+    """A CovMatrix that carries det, known more exactly than its entries give it."""
+    object.__setattr__(cov := CovMatrix(sxx=sxx, spp=spp, sxp=sxp), "_det", det)
+    return cov
+
+
+def _spectral(c: float, r: float, phi: float):
+    """(sigma, carrying det c^2, and spp - sxx, which the entries lose as r -> 0)."""
+    em, ep = math.exp(-2.0 * r), math.exp(2.0 * r)
+    cos, sin, half_gap = math.cos(phi), math.sin(phi), c * math.sinh(2.0 * r)
+    sxx, spp = c * (em * cos * cos + ep * sin * sin), c * (em * sin * sin + ep * cos * cos)
+    return (_with_det(sxx, spp, half_gap * math.sin(2.0 * phi), c * c),
+            2.0 * half_gap * math.cos(2.0 * phi))
+
+
+def _squeezing(mu, two_sxp, gap):
+    """(r, phi) from mu, 2*sxp and gap = spp - sxx, like them: _spectral inverted.
+
+    asinh keeps the digits of r as r -> 0, atan2 resolves the quadrant of 2*phi,
+    and below r = _R_EPS the angle is undefined and set to 0."""
+    r = 0.5 * np.arcsinh(mu * np.hypot(two_sxp, gap))
+    return r, (0.5 * np.arctan2(two_sxp, gap)) % math.pi * (r >= _R_EPS)
+
+
 def cov_from_params(params: GaussianParams) -> CovMatrix:
     """Covariance matrix of the state (x0, p0, nbar, r, phi)."""
-    c = (2.0 * params.nbar + 1.0) / 2.0
-    ch, sh = math.cosh(2.0 * params.r), math.sinh(2.0 * params.r)
-    c2, s2 = math.cos(2.0 * params.phi), math.sin(2.0 * params.phi)
-    return CovMatrix(sxx=c * (ch - sh * c2), spp=c * (ch + sh * c2),
-                     sxp=c * sh * s2)
+    return _spectral((2.0 * params.nbar + 1.0) / 2.0, params.r, params.phi)[0]
 
 
 def params_from_cov(state: GaussianState) -> GaussianParams:
-    """Invert cov_from_params.
-
-    nbar comes from det(sigma) = (2*nbar+1)^2/4, r from the anisotropy
-    hypot(sigma_xx - sigma_pp, 2*sigma_xp) = (2*nbar+1)*sinh(2r) through
-    asinh, which keeps its digits as r -> 0 where acosh of the trace would
-    not, and phi from the two-argument arctangent of
-    (2*sigma_xp, sigma_pp - sigma_xx), which resolves the quadrant
-    ambiguity of the tangent.
-    """
-    cov = state.cov.require_physical()
-    mu = 1.0 / (2.0 * math.sqrt(cov.det))
-    nbar = max(0.0, (1.0 / mu - 1.0) / 2.0)
-    r = 0.5 * math.asinh(mu * math.hypot(cov.sxx - cov.spp, 2.0 * cov.sxp))
-    if r < _R_EPS:
-        return GaussianParams(x0=state.x0, p0=state.p0, nbar=nbar)
-    phi = 0.5 * math.atan2(2.0 * cov.sxp, cov.spp - cov.sxx)
-    return GaussianParams(x0=state.x0, p0=state.p0, nbar=nbar, r=r,
-                          phi=phi % math.pi)
+    """Invert cov_from_params: nbar from det = (2*nbar+1)^2/4, (r, phi) by _squeezing."""
+    cov, mu = state.cov, purity(state.cov)
+    r, phi = _squeezing(mu, 2.0 * cov.sxp, cov.spp - cov.sxx)
+    return GaussianParams(x0=state.x0, p0=state.p0, nbar=max(0.0, (1.0 / mu - 1.0) / 2.0),
+                          r=float(r), phi=float(phi))
 
 
 def purity(cov: CovMatrix) -> float:
@@ -187,7 +205,7 @@ def linear_entropy(mu: float) -> float:
 def _wigner_array(state: GaussianState, x, p):
     """Wigner density evaluated elementwise on arrays of phase-space points."""
     cov = state.cov
-    det = cov.det
+    det = cov.sxx * cov.spp - cov.sxp**2     # from the entries: an independent oracle
     dx = np.asarray(x, dtype=float) - state.x0
     dp = np.asarray(p, dtype=float) - state.p0
     # sigma^{-1} written out for the 2x2 symmetric case

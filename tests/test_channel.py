@@ -97,16 +97,16 @@ class TestAsymptote:
         # r_inf = asinh(2 mu_inf |M|)/2 in 50-digit arithmetic, |M| from
         # far below to on the bound N(N+1)
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
         for frac in (1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0):
             for angle in (0.0, 1.0, 4.0):
                 m = frac * math.sqrt(n_bath * (n_bath + 1.0))
                 bath = BathParams(N=n_bath, M1=m * math.cos(angle),
                                   M2=m * math.sin(angle))
-                n, m1, m2 = (mpmath.mpf(v) for v in (bath.N, bath.M1, bath.M2))
-                m_abs2 = m1 * m1 + m2 * m2
-                mu_inf = ((2 * n + 1) ** 2 - 4 * m_abs2) ** mpmath.mpf(-0.5)
-                ref = float(mpmath.asinh(2 * mu_inf * mpmath.sqrt(m_abs2)) / 2)
+                with mpmath.workdps(50):
+                    n, m1, m2 = (mpmath.mpf(v) for v in (bath.N, bath.M1, bath.M2))
+                    m_abs2 = m1 * m1 + m2 * m2
+                    mu_inf = ((2 * n + 1) ** 2 - 4 * m_abs2) ** mpmath.mpf(-0.5)
+                    ref = float(mpmath.asinh(2 * mu_inf * mpmath.sqrt(m_abs2)) / 2)
                 r_inf = channel_asymptote(bath).r_inf
                 assert abs(r_inf - ref) <= 1e-12 * ref, (frac, angle, r_inf, ref)
 
@@ -406,11 +406,11 @@ class TestSqueezingPrecision:
                              ids=["coherent", "thermal", "squeezed"])
     def test_r_of_t_matches_mpmath(self, p):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
         bath = BathParams(*self.BATH)
         rs = r_of_t(p, bath, np.array(self.GT))
         for gt, r in zip(self.GT, rs):
-            ref = float(self.reference_r(mpmath, p, self.BATH, gt))
+            with mpmath.workdps(50):
+                ref = float(self.reference_r(mpmath, p, self.BATH, gt))
             assert abs(r - ref) <= 1e-12 * ref, (gt, r, ref)
             assert r_of_t(p, bath, gt) == pytest.approx(ref, rel=1e-12)
 

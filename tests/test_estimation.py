@@ -354,7 +354,8 @@ class TestNonparametricResampling:
                         for b in batches)
         bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
         mus = bracket[bracket > 0] ** -0.5
-        lo, hi = np.quantile(mus, [0.16, 0.84])
+        # the levels as the library forms them: 0.15999999999999998, 0.8400000000000001
+        lo, hi = np.quantile(mus, [(1.0 - 0.68) / 2.0, (1.0 + 0.68) / 2.0])
         est = estimate_purity_homodyne(*batches, resamples=self.B, seed=84)
         assert (est.ci_low, est.ci_high) == (min(float(lo), est.mu_hat),
                                              max(float(hi), est.mu_hat))
@@ -405,8 +406,15 @@ class TestErrorScalingSweep:
             error_scaling_sweep(SQUEEZED, EstimationMethod.Q_JOINT,
                                 [100, 100], trials=2, seed=0)
 
-    @pytest.mark.parametrize("method", list(EstimationMethod))
-    @pytest.mark.parametrize("n_grid", [[-3], [0], [1], [1, 30]])
+    # a three-quadrature budget is split as n//3 per phase: 2 to 5 leave fewer than two
+    @pytest.mark.parametrize("method, n_grid", [
+        *(pytest.param(method, n_grid, id=f"n_grid{i}-{method.value}")
+          for i, n_grid in enumerate([[-3], [0], [1], [1, 30]])
+          for method in EstimationMethod),
+        pytest.param(EstimationMethod.THREE_QUADRATURE, [2],
+                     id="n_grid4-three_quadrature"),
+        pytest.param(EstimationMethod.THREE_QUADRATURE, [5],
+                     id="n_grid5-three_quadrature")])
     def test_rejects_sample_sizes_below_two_before_drawing(self, method, n_grid,
                                                            monkeypatch):
         def no_draws(*args):
@@ -502,7 +510,7 @@ def _trial_purity(state, n, seed):
 
 DISPLACED = GaussianState.from_params(GaussianParams(x0=40.0, p0=-7.5, nbar=0.3,
                                                      r=0.8, phi=2.1))
-Q_SIZES = [2, 3, 7, 1_000, 4_097, 100_001]
+Q_SIZES = [2, 3, 7, 1_000, 4_097, 8_193, 100_001]
 
 
 class TestQTrial:

@@ -166,8 +166,12 @@ class TestRunners:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig_varnx", trials=0)
 
-    @pytest.mark.parametrize("experiment", ["fig_varnx", "fig_trequad"])
-    @pytest.mark.parametrize("n_grid", [[-3], [0], [1], [1, 30]])
+    @pytest.mark.parametrize("experiment, n_grid", [
+        *(pytest.param(experiment, n_grid, id=f"n_grid{i}-{experiment}")
+          for i, n_grid in enumerate([[-3], [0], [1], [1, 30]])
+          for experiment in ("fig_varnx", "fig_trequad")),
+        pytest.param("fig_trequad", [2], id="n_grid4-fig_trequad"),
+        pytest.param("fig_trequad", [5], id="n_grid5-fig_trequad")])
     def test_sample_sizes_below_two_rejected(self, experiment, n_grid):
         with pytest.raises(ValueError, match=">= 2"):
             ExperimentConfig(experiment=experiment, n_grid=n_grid)
@@ -324,6 +328,30 @@ class TestCli:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]
+
+    @pytest.mark.parametrize("argv, error, message", [
+        (["sample", "--kind", "q", "--n", "10", "--r", "400"], "ValueError",
+         "r = 400.0 at nbar = 0.0 overflows the covariance entries"),
+        (["sample", "--kind", "q", "--n", "10", "--nbar", "nan"], "ValueError",
+         "state parameters must be finite, got "
+         "GaussianParams(x0=0.0, p0=0.0, nbar=nan, r=0.0, phi=0.0)"),
+        (["evolve", "ratio", "--bath-n", "nan"], "UnphysicalBathError",
+         "bath parameters must be finite, got BathParams(gamma=1.0, N=nan, M1=0.0, M2=0.0)"),
+        (["evolve", "ratio", "--bath-n", "inf"], "UnphysicalBathError",
+         "bath parameters must be finite, got BathParams(gamma=1.0, N=inf, M1=0.0, M2=0.0)")],
+        ids=["r400", "nbar-nan", "bath-n-nan", "bath-n-inf"])
+    def test_non_finite_or_overflowing_input_is_json_error(self, tmp_path, capsys,
+                                                           argv, error, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
+        assert not out.exists()
+
+    def test_sample_at_large_squeezing(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert main(["sample", "--kind", "q", "--n", "1000", "--r", "12", "--phi", "0.3",
+                     "--out", str(out)]) == 0
+        assert np.isfinite(QSampleBatch.from_csv(out).pairs).all()
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_override_is_validated(self, tmp_path, capsys, trials):

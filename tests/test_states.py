@@ -92,21 +92,36 @@ class TestParamsFromCov:
             params_from_cov(GaussianState(cov=CovMatrix(0.3, 0.3, 0.0)))
 
     def test_squeezing_matches_mpmath(self):
-        """r of the float entries, against 50-digit arithmetic, down to r = 1e-9."""
+        """r of a state built by from_params is the r it was built from, to r = 12.
+
+        Entries of order c = nbar + 1/2 hold r only to about one ulp of
+        itself, hence the absolute 2**-52 next to the relative 1e-12: at
+        r = 1e-9 that absolute term is what the entries allow.
+        """
+        for nbar in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
+            for r in (1e-9, 1e-6, 1e-3, 3.0, 8.0, 12.0):
+                for phi in (0.0, 0.4, math.pi / 4, 2.5):
+                    state = GaussianState.from_params(GaussianParams(nbar=nbar, r=r, phi=phi))
+                    got = params_from_cov(state).r
+                    assert abs(got - r) <= 1e-12 * r + 2.0**-52, (nbar, r, phi, got)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-6, 1e-3, 3.0])
+    def test_squeezing_of_raw_entries_matches_mpmath(self, r):
+        """r of raw CovMatrix entries, whose det is their own, in 50-digit arithmetic."""
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            for nbar in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
-                for r in (1e-9, 1e-6, 1e-3, 3.0):
-                    for phi in (0.0, 0.4, math.pi / 4, 2.5):
-                        state = GaussianState.from_params(
-                            GaussianParams(nbar=nbar, r=r, phi=phi))
-                        sxx, spp, sxp = (mpmath.mpf(v) for v in
-                                         (state.cov.sxx, state.cov.spp, state.cov.sxp))
-                        mu = 1 / (2 * mpmath.sqrt(sxx * spp - sxp * sxp))
-                        ref = mpmath.asinh(mu * mpmath.sqrt((sxx - spp) ** 2
-                                                            + 4 * sxp * sxp)) / 2
-                        got = params_from_cov(state).r
-                        assert abs(got - ref) <= 1e-12 * ref, (nbar, r, phi, got)
+        for nbar in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
+            for phi in (0.0, 0.4, math.pi / 4, 2.5):
+                c = (2.0 * nbar + 1.0) / 2.0
+                # the cosh/sinh form, rounded otherwise than from_params rounds
+                cov = CovMatrix(c * (math.cosh(2 * r) - math.sinh(2 * r) * math.cos(2 * phi)),
+                                c * (math.cosh(2 * r) + math.sinh(2 * r) * math.cos(2 * phi)),
+                                c * math.sinh(2 * r) * math.sin(2 * phi))
+                with mpmath.workdps(50):
+                    sxx, spp, sxp = (mpmath.mpf(v) for v in (cov.sxx, cov.spp, cov.sxp))
+                    mu = 1 / (2 * mpmath.sqrt(sxx * spp - sxp * sxp))
+                    ref = mpmath.asinh(mu * mpmath.sqrt((sxx - spp) ** 2 + 4 * sxp * sxp)) / 2
+                got = params_from_cov(GaussianState(cov=cov)).r
+                assert abs(got - ref) <= 1e-12 * ref, (nbar, r, phi, got)
 
 
 class TestPurity:
