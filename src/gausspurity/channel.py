@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalBathError, UnsupportedConditionError
-from .states import (CovMatrix, GaussianParams, GaussianState, _spectral, _squeezing,
-                     _with_det)
+from .states import (PHYSICALITY_RTOL, CovMatrix, GaussianParams, GaussianState, _spectral,
+                     _squeezing, _with_det)
 
 
 @dataclass(frozen=True)
@@ -57,26 +57,48 @@ class ChannelAsymptote:
 
 def validate_bath(bath: BathParams) -> BathParams:
     """Check finite values, gamma > 0, N >= 0 and the positivity bound |M|^2 <= N(N+1)."""
+    _bath_det(bath)
+    return bath
+
+
+def _bath_det(bath: BathParams) -> float:
+    """Check the bath; its det sigma_inf = ((2N+1)^2 - 4|M|^2)/4, exactly rounded.
+
+    |M|^2 <= N(N+1) is det sigma_inf >= 1/4, checked with the PHYSICALITY_RTOL
+    slack that every covariance gets.  Each square is split into two floats
+    that sum to it exactly, and fsum rounds the sum of all terms once.
+    """
     if not all(map(math.isfinite, (bath.gamma, bath.N, bath.M1, bath.M2))):
         raise UnphysicalBathError(f"bath parameters must be finite, got {bath}")
     if bath.gamma <= 0:
         raise UnphysicalBathError(f"damping rate must satisfy gamma > 0, got {bath.gamma}")
     if bath.N < 0:
         raise UnphysicalBathError(f"thermal parameter must satisfy N >= 0, got {bath.N}")
-    bound = bath.N * (bath.N + 1.0)
-    if bath.m_abs2 > bound * (1.0 + 1e-12) + 1e-300:
+    (n, n_lo), (m1, m1_lo), (m2, m2_lo) = map(_square, (2.0 * bath.N, 2.0 * bath.M1,
+                                                       2.0 * bath.M2))
+    if not math.isfinite(n + n_lo + m1 + m1_lo + m2 + m2_lo):
+        raise UnphysicalBathError(f"bath parameters overflow det sigma_inf, got {bath}")
+    det = math.fsum((n, n_lo, 4.0 * bath.N, 1.0, -m1, -m1_lo, -m2, -m2_lo)) / 4.0
+    if det < 0.25 * (1.0 - PHYSICALITY_RTOL):
         raise UnphysicalBathError(
-            f"bath squeezing violates |M|^2 <= N(N+1): "
-            f"|M|^2 = {bath.m_abs2} > {bound}")
-    return bath
+            f"bath squeezing violates |M|^2 <= N(N+1): |M|^2 = {bath.m_abs2}, "
+            f"N(N+1) = {bath.N * (bath.N + 1.0)}, det sigma_inf = {det} < 1/4")
+    return det
+
+
+def _square(a: float):
+    """(a*a, its rounding error): two floats whose sum is a^2 exactly (Veltkamp-Dekker)."""
+    hi = a * a
+    split = 134217729.0 * a                # 2^27 + 1 splits a into two 26-bit halves
+    ah = split - (split - a)
+    al = a - ah
+    return hi, ((ah * ah - hi) + 2.0 * ah * al) + al * al
 
 
 def asymptotic_cov(bath: BathParams) -> CovMatrix:
-    """Asymptotic covariance sigma_inf of the channel, carrying det ((2N+1)^2 - 4|M|^2)/4."""
-    validate_bath(bath)
+    """Asymptotic covariance sigma_inf of the channel, carrying its exactly rounded det."""
     half = (2.0 * bath.N + 1.0) / 2.0
-    return _with_det(half + bath.M1, half - bath.M1, bath.M2,
-                     ((2.0 * bath.N + 1.0) ** 2 - 4.0 * bath.m_abs2) / 4.0)
+    return _with_det(half + bath.M1, half - bath.M1, bath.M2, _bath_det(bath))
 
 
 def channel_asymptote(bath: BathParams) -> ChannelAsymptote:

@@ -10,19 +10,19 @@ Two estimators are provided:
   mu = [4*v45*(v0 + v90 - v45) - (v0 - v90)^2]^{-1/2}.
 
 Uncertainty is quantified by a bootstrap percentile interval (68% by
-default).  The bootstrap resamples the record itself (nonparametric, the
-default, which assumes nothing about the data) or, for Gaussian records,
-draws the resampled Q covariance from its Wishart law (parametric, three
-variates per resample instead of n); the simulated figure runners use the
-parametric kind.  Nonparametric resamples are drawn and reduced in
-cache-sized row blocks; their bits do not depend on the block size.  A
-simulated three-quadrature trial draws each sample variance from its
-chi-square law, not from records (sample_homodyne stays for the CLI and
-for callers that want records).  Monte Carlo trials run on min(cores,
-trials) threads, each Q trial in its thread's one reused (n, 2) buffer, and
-no result depends on the thread count.  Degenerate point estimates -- negative
-determinant or non-positive bracket -- raise DegenerateSampleError
-instead of being clamped: small-n unreliability is real.
+default).  The public estimators resample the record itself
+(nonparametric), which assumes nothing about the data, so CSV records and
+lab data need not be Gaussian; the resamples are drawn and reduced in
+cache-sized row blocks, and their bits do not depend on the block size.  A
+simulated Q trial, Gaussian by construction, draws its single-trial
+interval from the Wishart law of its own fitted Q covariance (parametric).
+A simulated three-quadrature trial draws each sample variance from its
+chi-square law, not from records (sample_homodyne stays for the CLI and for
+callers that want records).  Monte Carlo trials run on min(cores, trials)
+threads, each Q trial in its thread's one reused (n, 2) buffer, and no
+result depends on the thread count.  Degenerate point estimates -- negative
+determinant or non-positive bracket -- raise DegenerateSampleError instead
+of being clamped: small-n unreliability is real.
 """
 
 from __future__ import annotations
@@ -98,7 +98,10 @@ def moments_from_q(batch: QSampleBatch) -> MomentEstimate:
     cross moment needs no correction.  Unbiased (n-1) estimators are
     used throughout.
     """
-    return _moments_of(batch, _q_cov(batch))
+    c = _q_cov(batch)
+    return MomentEstimate(mean_x=float(batch.x.mean()), mean_p=float(batch.p.mean()),
+                          sxx_hat=float(c[0, 0]) - 0.5, spp_hat=float(c[1, 1]) - 0.5,
+                          sxp_hat=float(c[0, 1]))
 
 
 def _q_cov(batch: QSampleBatch) -> np.ndarray:
@@ -114,11 +117,9 @@ def _cov_in_place(z: np.ndarray) -> np.ndarray:
     return np.dot(z.T, z) * (1 / (len(z) - 1))
 
 
-def _moments_of(batch: QSampleBatch, c: np.ndarray) -> MomentEstimate:
-    return MomentEstimate(mean_x=float(batch.x.mean()), mean_p=float(batch.p.mean()),
-                          sxx_hat=float(c[0, 0]) - 0.5,
-                          spp_hat=float(c[1, 1]) - 0.5,
-                          sxp_hat=float(c[0, 1]))
+def _q_purity(c: np.ndarray) -> float:
+    """Plug-in purity of a fitted Q covariance, the vacuum half taken off its diagonal."""
+    return _plug_in_purity(float(c[0, 0]) - 0.5, float(c[1, 1]) - 0.5, float(c[0, 1]))
 
 
 def purity_from_moments(m: MomentEstimate) -> float:
@@ -195,9 +196,6 @@ def _parametric_q(q_cov: np.ndarray, n: int, resamples: int,
                        b11 * b21 / (n - 1))
 
 
-_Q_BOOTSTRAPS = ("nonparametric", "parametric")
-
-
 def _chunk_sizes(resamples: int, n: int) -> list:
     """Homodyne chunk sizes; they fix the draw order: chunk by chunk, phase 0, pi/4, pi/2."""
     chunk = max(1, _BOOT_CHUNK_ELEMS // n)
@@ -212,42 +210,30 @@ def _check_bootstrap(resamples: int, level: float):
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
 
 
-def _bootstrap_estimate(point, mus, resamples, level, n, method, bootstrap):
-    """The point with the percentile interval of the physical resamples around it."""
+def _bootstrap_estimate(point, mus, resamples, level, n, method, kind):
+    """The point with the percentile interval of the physical resamples of a kind around it."""
     if mus.size < max(2, resamples // 2):
         raise DegenerateSampleError(
             f"only {mus.size}/{resamples} bootstrap resamples were physical")
     lo, hi = np.quantile(mus, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return PurityEstimate(mu_hat=point, ci_low=min(float(lo), point),
-                          ci_high=max(float(hi), point), level=level, n=n,
-                          method=method, bootstrap=bootstrap, resamples_used=mus.size)
+    return PurityEstimate(point, min(float(lo), point), max(float(hi), point), level, n,
+                          method, kind, mus.size)
 
 
 def purity_from_q(batch: QSampleBatch, resamples: int = 400,
-                  level: float = 0.68, seed=0,
-                  bootstrap: str = "nonparametric") -> PurityEstimate:
-    """Purity estimate from a Q-batch with a bootstrap percentile CI.
+                  level: float = 0.68, seed=0) -> PurityEstimate:
+    """Purity estimate from a Q-batch with a nonparametric bootstrap percentile CI.
 
-    bootstrap="nonparametric" resamples the pairs and assumes nothing about
-    their law; bootstrap="parametric" draws each resample's covariance from
-    the Wishart law of Gaussian pairs, which is exact only for Gaussian
-    records but costs three variates per resample instead of n.
+    The resamples redraw the pairs themselves, so the interval assumes
+    nothing about their law.
     """
-    if bootstrap not in _Q_BOOTSTRAPS:
-        raise ValueError(f"unknown bootstrap {bootstrap!r}; choose one of "
-                         f"{_Q_BOOTSTRAPS}")
     if batch.n < 3:
         raise InsufficientDataError(f"need at least 3 Q-samples, got {batch.n}")
     _check_bootstrap(resamples, level)
-    q_cov = _q_cov(batch)
-    point = purity_from_moments(_moments_of(batch, q_cov))
-    rng = make_rng(seed)
-    if bootstrap == "parametric":
-        mus = _parametric_q(q_cov, batch.n, resamples, rng)
-    else:
-        mus = _bootstrap_q(batch.pairs, resamples, rng)
-    return _bootstrap_estimate(point, mus, resamples, level, batch.n,
-                               EstimationMethod.Q_JOINT, bootstrap)
+    point = _q_purity(_q_cov(batch))
+    return _bootstrap_estimate(point, _bootstrap_q(batch.pairs, resamples, make_rng(seed)),
+                               resamples, level, batch.n, EstimationMethod.Q_JOINT,
+                               "nonparametric")
 
 
 def purity_from_three_quadratures(var0: float, var45: float, var90: float) -> float:
@@ -340,13 +326,18 @@ def _check_three_quadrature_budgets(n_grid):
                          f"need n//3 >= 2, that is n >= 6, got {n_grid}")
 
 
-def _q_trial(state: GaussianState, n: int, rng: np.random.Generator):
-    """Q-method point estimate from n >= 2 pairs in the thread's reused buffer; no interval."""
+def _q_trial(state: GaussianState, n: int, rng: np.random.Generator, resamples=0, level=0.68):
+    """Q-method estimate from n >= 2 pairs in the thread's reused buffer; with resamples,
+    the parametric bootstrap CI of the fitted Q covariance, drawn further along rng."""
     if len(getattr(_worker, "z", ())) != n:
         _worker.z = np.empty((n, 2))
     c = _cov_in_place(_q_pairs(state, n, rng, _worker.z))
-    return (_plug_in_purity(float(c[0, 0]) - 0.5, float(c[1, 1]) - 0.5, float(c[0, 1])),
-            (math.nan, math.nan))
+    mu = _q_purity(c)       # degenerate at n = 2 (c has rank 1): _parametric_q gets n >= 3
+    if not resamples:
+        return mu, (math.nan, math.nan)
+    pe = _bootstrap_estimate(mu, _parametric_q(c, n, resamples, rng), resamples, level, n,
+                             EstimationMethod.Q_JOINT, "parametric")
+    return mu, (pe.ci_low, pe.ci_high)
 
 
 def _three_quadrature_trial(state: GaussianState, n: int, rng: np.random.Generator):

@@ -4,8 +4,8 @@ Each runner returns an ExperimentReport: a flat table plus an echo of the
 configuration and provenance, so a report can be re-run bit-identically
 and emitted as CSV (plot-ready) or JSON (machine-readable).
 
-The Q-method runners draw Gaussian records by construction, so their
-single-trial CIs come from the parametric (Wishart) bootstrap.
+The Q-method runners draw Gaussian records, so at one trial each estimate
+carries the parametric (Wishart) bootstrap CI of its own fitted Q covariance.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -21,9 +22,8 @@ import numpy as np
 from . import __version__
 from .channel import (BathParams, GaussianParams, integrate_cov_ode, mu_of_t,
                       trajectory, validate_bath)
-from .estimation import (_check_three_quadrature_budgets, _monte_carlo, _q_trial,
-                         _three_quadrature_trial, purity_from_q)
-from .sampling import sample_q
+from .estimation import (_check_bootstrap, _check_three_quadrature_budgets, _monte_carlo,
+                         _q_trial, _three_quadrature_trial)
 from .states import GaussianState, purity
 
 # Fig. 1/2 state: strongly squeezed thermal state with true purity 0.5.
@@ -71,6 +71,7 @@ class ExperimentConfig:
                           else DEFAULT_STATE)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_bootstrap(self.resamples, self.level)
         for name in ("n_grid", "r_grid", "nbar_grid", "t_grid"):
             grid = getattr(self, name)
             if grid is not None:
@@ -150,16 +151,9 @@ def _figure(config, grid, points, trial, last_column) -> ExperimentReport:
 
 
 def _q_trial_for(config: ExperimentConfig):
-    """Q-method trial: a parametric-bootstrap CI at one trial, else the point estimate."""
-    if config.trials > 1:
-        return _q_trial
-
-    def trial(state, n, rng):
-        pe = purity_from_q(sample_q(state, n, rng), resamples=config.resamples,
-                           level=config.level, seed=rng, bootstrap="parametric")
-        return pe.mu_hat, (pe.ci_low, pe.ci_high)
-
-    return trial
+    """_q_trial, with its parametric-bootstrap CI when the figure shows one trial."""
+    return (_q_trial if config.trials > 1
+            else partial(_q_trial, resamples=config.resamples, level=config.level))
 
 
 def run_fig_varnx(config: ExperimentConfig) -> ExperimentReport:

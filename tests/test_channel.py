@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ class TestBathValidation:
     def test_boundary_m_allowed(self):
         n = 1.0
         validate_bath(BathParams(N=n, M1=math.sqrt(n * (n + 1)), M2=0.0))
+
+    def test_large_n_bound_has_the_physicality_slack(self):
+        # a relative 1e-12 on |M|^2 once let this bath through with mu_inf = 1.000002
+        n = 1000.0
+        with pytest.raises(UnphysicalBathError):
+            validate_bath(BathParams(N=n, M1=math.sqrt(n * (n + 1) * (1 + 1e-12))))
+        m = math.sqrt(n * (n + 1)) * (1 - 1e-12)
+        inside = BathParams(N=n, M1=m * math.cos(0.3), M2=m * math.sin(0.3))
+        exact = (Fraction(2 * n + 1) ** 2 - 4 * Fraction(inside.M1) ** 2
+                 - 4 * Fraction(inside.M2) ** 2) / 4
+        assert asymptotic_cov(inside).det == float(exact)       # exactly rounded
+        assert channel_asymptote(inside).mu_inf <= 1.0
 
     def test_too_much_correlation(self):
         with pytest.raises(UnphysicalBathError):

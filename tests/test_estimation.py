@@ -112,60 +112,16 @@ class TestPurityFromQ:
             hits += est.ci_low <= mu_true <= est.ci_high
         assert 0.60 <= hits / trials <= 0.76
 
-    def test_parametric_bootstrap_reproducible(self):
-        batch = sample_q(SQUEEZED, 5_000, seed=15)
-        a = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
-        b = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
-        assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
-        assert a.ci_low <= a.mu_hat <= a.ci_high
-        d = a.to_dict()
-        assert d["bootstrap"] == "parametric"
-        assert 100 <= d["resamples_used"] <= 200
-
-    def test_parametric_bootstrap_coverage(self):
-        # same state, sizes, seeds and band as the nonparametric test
-        state = GaussianState.thermal(1.0)
-        mu_true = purity(state.cov)
-        trials, hits = 400, 0
-        for k in range(trials):
-            batch = sample_q(state, 500, seed=3_000 + k)
-            est = purity_from_q(batch, resamples=300, seed=k, bootstrap="parametric")
-            hits += est.ci_low <= mu_true <= est.ci_high
-        assert 0.60 <= hits / trials <= 0.76
-
-    def test_parametric_bootstrap_fits_covariance_once(self, monkeypatch):
-        batch = sample_q(SQUEEZED, 5_000, seed=15)
-        before = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
-        calls = []
-        real_cov = estimation._cov_in_place
-
-        def counting_cov(*args, **kwargs):
-            calls.append(1)
-            return real_cov(*args, **kwargs)
-
-        monkeypatch.setattr(estimation, "_cov_in_place", counting_cov)
-        after = purity_from_q(batch, resamples=200, seed=7, bootstrap="parametric")
-        assert len(calls) == 1
-        assert after == before
-        assert after.mu_hat == purity_from_moments(moments_from_q(batch))
-
-    def test_unknown_bootstrap_rejected(self):
-        batch = sample_q(SQUEEZED, 1_000, seed=16)
-        with pytest.raises(ValueError, match="bootstrap"):
-            purity_from_q(batch, bootstrap="jackknife")
-
-    @pytest.mark.parametrize("bootstrap", ["nonparametric", "parametric"])
     @pytest.mark.parametrize("resamples", [0, 1])
-    def test_too_few_resamples_rejected_before_drawing(self, bootstrap, resamples):
+    def test_too_few_resamples_rejected_before_drawing(self, resamples):
         batch = sample_q(SQUEEZED, 1_000, seed=16)
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError,
                            match=f"^resamples must be >= 2, got {resamples}$"):
-            purity_from_q(batch, resamples=resamples, seed=rng, bootstrap=bootstrap)
+            purity_from_q(batch, resamples=resamples, seed=rng)
         assert rng.bit_generator.state == state
-        assert purity_from_q(batch, resamples=2, seed=5,
-                             bootstrap=bootstrap).resamples_used == 2
+        assert purity_from_q(batch, resamples=2, seed=5).resamples_used == 2
 
     def test_asymptotically_unbiased(self):
         n, trials = 100_000, 200
@@ -498,8 +454,12 @@ def _pipeline_purity(state, n, seed):
         return "degenerate"
 
 
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def _trial_purity(state, n, seed):
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _philox(seed)
     try:
         mu, ci = _q_trial(state, n, rng)
     except DegenerateSampleError:
@@ -554,6 +514,41 @@ class TestQTrial:
     def test_buffer_reuse_across_sizes_keeps_the_bits(self):
         for n in (7, 7, 1_000, 3, 1_000, 7):
             assert _trial_purity(DISPLACED, n, n) == _pipeline_purity(DISPLACED, n, n)
+
+    def test_parametric_bootstrap_reproducible(self):
+        a = _q_trial(SQUEEZED, 5_000, _philox(15), resamples=200)
+        b = _q_trial(SQUEEZED, 5_000, _philox(15), resamples=200)
+        assert a == b
+        mu, (lo, hi) = a
+        assert lo <= mu <= hi < 1.0
+        # the interval is drawn after the pairs, so the point estimate keeps its bits
+        assert mu == _q_trial(SQUEEZED, 5_000, _philox(15))[0]
+
+    def test_parametric_bootstrap_coverage(self):
+        # same state, sizes, record seeds and band as the nonparametric test
+        state = GaussianState.thermal(1.0)
+        mu_true = purity(state.cov)
+        trials, hits = 400, 0
+        for k in range(trials):
+            _, (lo, hi) = _q_trial(state, 500, _philox(3_000 + k), resamples=300)
+            hits += lo <= mu_true <= hi
+        assert 0.60 <= hits / trials <= 0.76
+
+    def test_parametric_bootstrap_fits_covariance_once(self, monkeypatch):
+        before = _q_trial(SQUEEZED, 5_000, _philox(7), resamples=200)
+        calls = []
+        real_cov = estimation._cov_in_place
+
+        def counting_cov(*args, **kwargs):
+            calls.append(1)
+            return real_cov(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_cov_in_place", counting_cov)
+        after = _q_trial(SQUEEZED, 5_000, _philox(7), resamples=200)
+        assert len(calls) == 1
+        assert after == before
+        batch = sample_q(SQUEEZED, 5_000, _philox(7))
+        assert after[0] == purity_from_moments(moments_from_q(batch))
 
     def test_unphysical_state(self):
         with pytest.raises(PhysicalityError):

@@ -165,6 +165,28 @@ class TestRunners:
             ExperimentConfig(experiment="fig_varnx", n_grid=[100, 100])
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig_varnx", trials=0)
+        # resamples = 1 once ran and gave an all-degenerate NaN row
+        for kw, message in ((dict(resamples=0), "resamples must be >= 2, got 0"),
+                            (dict(resamples=1), "resamples must be >= 2, got 1"),
+                            (dict(level=0.0), "confidence level must lie in (0, 1), got 0.0"),
+                            (dict(level=1.0), "confidence level must lie in (0, 1), got 1.0")):
+            with pytest.raises(ValueError) as info:
+                ExperimentConfig(experiment="fig_varnx", **kw)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_two_pairs_are_a_degenerate_point(self, tmp_path, trials):
+        # a rank-1 sample covariance: degenerate at any trial count, never an error
+        config = ExperimentConfig(experiment="fig_varnx", n_grid=[2, 30], trials=trials,
+                                  seed=3, resamples=50)
+        two, thirty = run_experiment(config).rows
+        assert (two["n"], thirty["n"]) == (2, 30)
+        assert two["n_degenerate"] == trials
+        assert all(math.isnan(two[k]) for k in ("mu_hat", "err_low", "err_high", "rel_err"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        assert main(["figure", "varnx", "--config", str(config_path),
+                     "--out", str(tmp_path / "varnx.csv")]) == 0
 
     @pytest.mark.parametrize("experiment, n_grid", [
         *(pytest.param(experiment, n_grid, id=f"n_grid{i}-{experiment}")
@@ -338,8 +360,11 @@ class TestCli:
         (["evolve", "ratio", "--bath-n", "nan"], "UnphysicalBathError",
          "bath parameters must be finite, got BathParams(gamma=1.0, N=nan, M1=0.0, M2=0.0)"),
         (["evolve", "ratio", "--bath-n", "inf"], "UnphysicalBathError",
-         "bath parameters must be finite, got BathParams(gamma=1.0, N=inf, M1=0.0, M2=0.0)")],
-        ids=["r400", "nbar-nan", "bath-n-nan", "bath-n-inf"])
+         "bath parameters must be finite, got BathParams(gamma=1.0, N=inf, M1=0.0, M2=0.0)"),
+        (["evolve", "ratio", "--bath-n", "1e200"], "UnphysicalBathError",
+         "bath parameters overflow det sigma_inf, got "
+         "BathParams(gamma=1.0, N=1e+200, M1=0.0, M2=0.0)")],
+        ids=["r400", "nbar-nan", "bath-n-nan", "bath-n-inf", "bath-n-1e200"])
     def test_non_finite_or_overflowing_input_is_json_error(self, tmp_path, capsys,
                                                            argv, error, message):
         out = tmp_path / "out.csv"
@@ -362,6 +387,19 @@ class TestCli:
         assert err == {"error": "ValueError",
                        "message": f"trials must be >= 1, got {trials}"}
         assert not out.exists()
+
+    def test_config_with_one_resample_exits_before_drawing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiments, "_monte_carlo", lambda *args: ran.append(args))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_grid": [30, 100], "resamples": 1}))
+        out = tmp_path / "varnx.csv"
+        assert main(["figure", "varnx", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "resamples must be >= 2, got 1"}
+        assert ran == [] and not out.exists()
 
     def test_estimate_rejects_too_few_resamples(self, tmp_path, capsys):
         data = tmp_path / "q.csv"

@@ -17,7 +17,8 @@ A change that alters a pinned output on purpose regenerates the data with
 
     PYTHONPATH=src python tests/test_seeded_outputs.py
 
-and says in CHANGES.md which outputs changed.
+and says in CHANGES.md which outputs changed.  With --diff the same command
+writes nothing and prints the name of each case whose value would change.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -215,7 +217,22 @@ def test_seeded_output_is_bit_identical(golden, name):
     _compare(actual, golden[name], name)
 
 
+def _moved(golden) -> list:
+    """Names of the cases whose value differs from the golden file, or is not in it."""
+    moved = []
+    for name in sorted(set(CASES) | set(golden)):
+        try:
+            _compare(json.loads(json.dumps(CASES[name]())), golden[name], name)
+        except (AssertionError, KeyError):
+            moved.append(name)
+    return moved
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        for name in _moved(json.loads(DATA.read_text())):
+            print(name)
+        sys.exit(0)
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps({name: case() for name, case in sorted(CASES.items())},
                                indent=1) + "\n")
