@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .channel import (BathParams, ChannelAsymptote, Trajectory, asymptotic_cov,
                       channel_asymptote, evolve_cov, has_purity_minimum,
                       integrate_cov_ode, mu_of_t, mu_optimal, optimal_input,
-                      phi_of_t, r_of_t, trajectory, validate_bath)
+                      phi_of_t, r_of_t, trajectory)
 from .errors import (CoverageError, DegenerateSampleError, GaussPurityError,
                      InsufficientDataError, PhysicalityError,
                      UnphysicalBathError, UnsupportedConditionError)

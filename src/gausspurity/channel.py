@@ -2,7 +2,9 @@
 
 A Markovian bath is described by the damping rate gamma (inverse photon
 lifetime), a thermal parameter N and a complex squeezing M = M1 + i*M2
-with |M|^2 <= N(N+1).  At the covariance level the dynamics is the linear
+with |M|^2 <= N(N+1).  A BathParams is checked when it is built and carries
+its exactly rounded det sigma_inf, so no function re-checks a bath.  At the
+covariance level the dynamics is the linear
 matrix equation
 
     d(sigma)/dt = gamma * (sigma_inf - sigma),     dX0/dt = -gamma/2 * X0,
@@ -33,12 +35,38 @@ from .states import (PHYSICALITY_RTOL, CovMatrix, GaussianParams, GaussianState,
 
 @dataclass(frozen=True)
 class BathParams:
-    """Noisy-channel description (gamma, N, M1, M2)."""
+    """Noisy-channel description (gamma, N, M1, M2), checked when it is built.
+
+    Finite values, gamma > 0, N >= 0 and |M|^2 <= N(N+1), which is
+    det sigma_inf = ((2N+1)^2 - 4|M|^2)/4 >= 1/4, checked with the
+    PHYSICALITY_RTOL slack that every covariance gets.  Each square is split
+    into two floats that sum to it exactly, and fsum rounds the sum of all
+    terms once, so the bath carries its det sigma_inf exactly rounded.
+    """
 
     gamma: float = 1.0
     N: float = 0.0
     M1: float = 0.0
     M2: float = 0.0
+    _det = None         # not a field: det sigma_inf, exactly rounded
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma, self.N, self.M1, self.M2))):
+            raise UnphysicalBathError(f"bath parameters must be finite, got {self}")
+        if self.gamma <= 0:
+            raise UnphysicalBathError(f"damping rate must satisfy gamma > 0, got {self.gamma}")
+        if self.N < 0:
+            raise UnphysicalBathError(f"thermal parameter must satisfy N >= 0, got {self.N}")
+        (n, n_lo), (m1, m1_lo), (m2, m2_lo) = map(_square, (2.0 * self.N, 2.0 * self.M1,
+                                                           2.0 * self.M2))
+        if not math.isfinite(n + n_lo + m1 + m1_lo + m2 + m2_lo):
+            raise UnphysicalBathError(f"bath parameters overflow det sigma_inf, got {self}")
+        det = math.fsum((n, n_lo, 4.0 * self.N, 1.0, -m1, -m1_lo, -m2, -m2_lo)) / 4.0
+        if det < 0.25 * (1.0 - PHYSICALITY_RTOL):
+            raise UnphysicalBathError(
+                f"bath squeezing violates |M|^2 <= N(N+1): |M|^2 = {self.m_abs2}, "
+                f"N(N+1) = {self.N * (self.N + 1.0)}, det sigma_inf = {det} < 1/4")
+        object.__setattr__(self, "_det", det)
 
     @property
     def m_abs2(self) -> float:
@@ -55,37 +83,6 @@ class ChannelAsymptote:
     nbar_inf: float
 
 
-def validate_bath(bath: BathParams) -> BathParams:
-    """Check finite values, gamma > 0, N >= 0 and the positivity bound |M|^2 <= N(N+1)."""
-    _bath_det(bath)
-    return bath
-
-
-def _bath_det(bath: BathParams) -> float:
-    """Check the bath; its det sigma_inf = ((2N+1)^2 - 4|M|^2)/4, exactly rounded.
-
-    |M|^2 <= N(N+1) is det sigma_inf >= 1/4, checked with the PHYSICALITY_RTOL
-    slack that every covariance gets.  Each square is split into two floats
-    that sum to it exactly, and fsum rounds the sum of all terms once.
-    """
-    if not all(map(math.isfinite, (bath.gamma, bath.N, bath.M1, bath.M2))):
-        raise UnphysicalBathError(f"bath parameters must be finite, got {bath}")
-    if bath.gamma <= 0:
-        raise UnphysicalBathError(f"damping rate must satisfy gamma > 0, got {bath.gamma}")
-    if bath.N < 0:
-        raise UnphysicalBathError(f"thermal parameter must satisfy N >= 0, got {bath.N}")
-    (n, n_lo), (m1, m1_lo), (m2, m2_lo) = map(_square, (2.0 * bath.N, 2.0 * bath.M1,
-                                                       2.0 * bath.M2))
-    if not math.isfinite(n + n_lo + m1 + m1_lo + m2 + m2_lo):
-        raise UnphysicalBathError(f"bath parameters overflow det sigma_inf, got {bath}")
-    det = math.fsum((n, n_lo, 4.0 * bath.N, 1.0, -m1, -m1_lo, -m2, -m2_lo)) / 4.0
-    if det < 0.25 * (1.0 - PHYSICALITY_RTOL):
-        raise UnphysicalBathError(
-            f"bath squeezing violates |M|^2 <= N(N+1): |M|^2 = {bath.m_abs2}, "
-            f"N(N+1) = {bath.N * (bath.N + 1.0)}, det sigma_inf = {det} < 1/4")
-    return det
-
-
 def _square(a: float):
     """(a*a, its rounding error): two floats whose sum is a^2 exactly (Veltkamp-Dekker)."""
     hi = a * a
@@ -98,7 +95,7 @@ def _square(a: float):
 def asymptotic_cov(bath: BathParams) -> CovMatrix:
     """Asymptotic covariance sigma_inf of the channel, carrying its exactly rounded det."""
     half = (2.0 * bath.N + 1.0) / 2.0
-    return _with_det(half + bath.M1, half - bath.M1, bath.M2, _bath_det(bath))
+    return _with_det(half + bath.M1, half - bath.M1, bath.M2, bath._det)
 
 
 def channel_asymptote(bath: BathParams) -> ChannelAsymptote:
@@ -116,7 +113,7 @@ def _relaxation(bath: BathParams, t):
     1 - e^{-gamma t} comes from expm1, so it keeps its digits at small gamma*t.
     """
     t = np.asarray(t, dtype=float)[()]      # [()]: a 0-d array becomes a numpy scalar
-    if (t < 0).any():
+    if not (t >= 0).all():                  # NaN fails t >= 0
         raise ValueError(f"time must be >= 0, got {np.min(t)}")
     gt = bath.gamma * t
     return np.exp(-gt), -np.expm1(-gt)
@@ -183,14 +180,15 @@ def phi_of_t(state0: GaussianParams, bath: BathParams, t):
 
 
 def mu_optimal(mu0: float, bath: BathParams, t: float) -> float:
-    """Purity evolution of a non-squeezed input: the optimum at every time."""
+    """Purity evolution of a non-squeezed input: the optimum at every time.
+
+    mu0*mu_inf / (mu0*(1 - e^{-gamma t}) + mu_inf*e^{-gamma t}) sums two positive
+    terms, so it keeps its digits at small gamma*t whatever mu_inf/mu0 is."""
     if not 0.0 < mu0 <= 1.0:
         raise ValueError(f"initial purity must lie in (0, 1], got {mu0}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
     mu_inf = channel_asymptote(bath).mu_inf
-    eta = math.exp(-bath.gamma * t)
-    return mu0 * mu_inf / (mu0 + eta * (mu_inf - mu0))
+    eta, om = _relaxation(bath, t)
+    return _like_t(mu0 * mu_inf / (mu0 * om + mu_inf * eta))
 
 
 def has_purity_minimum(state0: GaussianParams, bath: BathParams) -> bool:
@@ -203,7 +201,6 @@ def has_purity_minimum(state0: GaussianParams, bath: BathParams) -> bool:
     if bath.M1 != 0.0 or bath.M2 != 0.0:
         raise UnsupportedConditionError(
             "the purity-minimum criterion is defined for thermal (M = 0) baths only")
-    validate_bath(bath)
     mu0 = state0.mu
     mu_inf = 1.0 / (2.0 * bath.N + 1.0)
     return math.cosh(2.0 * state0.r) > max(mu0 / mu_inf, mu_inf / mu0)
@@ -234,10 +231,10 @@ def integrate_cov_ode(state: GaussianState, bath: BathParams, t: float,
     Purely an independent oracle for evolve_cov; the ODE is linear, so no
     adaptive stepping is warranted.  Matches the closed form to O(step^4).
     """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     state.cov.require_physical()
     sinf = asymptotic_cov(bath)
     g = bath.gamma

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -204,8 +205,12 @@ def _chunk_sizes(resamples: int, n: int) -> list:
 
 def _check_bootstrap(resamples: int, level: float):
     """Reject, before any draw, what no bootstrap interval can come from."""
+    if not isinstance(resamples, numbers.Integral):
+        raise ValueError(f"resamples must be an integer, got {resamples!r}")
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples}")
+    if not isinstance(level, numbers.Real):
+        raise ValueError(f"confidence level must be a real number, got {level!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
 
@@ -299,11 +304,7 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     than silently dropped.  Both the across-trial mean and the
     across-trial standard deviation of the relative error are reported.
     """
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or n_grid[0] < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError(f"n_grid must be non-empty, ascending and >= 2, got {n_grid}")
-    if method == EstimationMethod.THREE_QUADRATURE:
-        _check_three_quadrature_budgets(n_grid)
+    n_grid = [int(n) for n in _check_grid("n_grid", n_grid, method)]
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     mu_true = purity(state.cov)
@@ -319,11 +320,27 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     return rows
 
 
-def _check_three_quadrature_budgets(n_grid):
-    """Reject budgets below 6: each of the three phases needs n//3 >= 2 values."""
-    if n_grid[0] < 6:
-        raise ValueError(f"three-quadrature budgets are split as n//3 per phase and "
-                         f"need n//3 >= 2, that is n >= 6, got {n_grid}")
+def _check_grid(name: str, grid, method=None) -> list:
+    """grid as a list, checked finite, non-empty and strictly ascending.
+
+    With a method, grid holds the sample sizes of that method: whole numbers
+    n >= 2, and n >= 6 for three-quadrature budgets, which are split as n//3
+    per phase and need n//3 >= 2 values in each.
+    """
+    grid = list(grid)
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in grid):
+        raise ValueError(f"{name} values must be finite real numbers, got {grid}")
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be non-empty and strictly ascending, got {grid}")
+    if method is not None:
+        if any(v % 1 for v in grid):
+            raise ValueError(f"{name} values must be whole numbers, got {grid}")
+        if grid[0] < 2:
+            raise ValueError(f"{name} values must be >= 2, got {grid}")
+        if method == EstimationMethod.THREE_QUADRATURE and grid[0] < 6:
+            raise ValueError(f"three-quadrature budgets are split as n//3 per phase and "
+                             f"need n//3 >= 2, that is n >= 6, got {grid}")
+    return grid
 
 
 def _q_trial(state: GaussianState, n: int, rng: np.random.Generator, resamples=0, level=0.68):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Optional
@@ -20,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .channel import (BathParams, GaussianParams, integrate_cov_ode, mu_of_t,
-                      trajectory, validate_bath)
-from .estimation import (_check_bootstrap, _check_three_quadrature_budgets, _monte_carlo,
+from .channel import BathParams, GaussianParams, integrate_cov_ode, mu_of_t, trajectory
+from .estimation import (EstimationMethod, _check_bootstrap, _check_grid, _monte_carlo,
                          _q_trial, _three_quadrature_trial)
 from .states import GaussianState, purity
 
@@ -69,21 +69,18 @@ class ExperimentConfig:
         if self.state is None:
             self.state = (VARNTH_STATE if self.experiment == "fig_varnth"
                           else DEFAULT_STATE)
+        for name in ("trials", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_bootstrap(self.resamples, self.level)
+        n_method = (EstimationMethod.THREE_QUADRATURE if self.experiment == "fig_trequad"
+                    else EstimationMethod.Q_JOINT)
         for name in ("n_grid", "r_grid", "nbar_grid", "t_grid"):
-            grid = getattr(self, name)
-            if grid is not None:
-                grid = list(grid)
-                if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-                    raise ValueError(f"{name} must be non-empty and strictly "
-                                     f"ascending, got {grid}")
-                if name == "n_grid" and grid[0] < 2:
-                    raise ValueError(f"n_grid values must be >= 2, got {grid}")
-                if name == "n_grid" and self.experiment == "fig_trequad":
-                    _check_three_quadrature_budgets(grid)
-                setattr(self, name, grid)
+            if getattr(self, name) is not None:
+                setattr(self, name, _check_grid(name, getattr(self, name),
+                                                n_method if name == "n_grid" else None))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -200,7 +197,7 @@ def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
     the residual of the closed-form mu against the RK4 oracle, which is
     integrated once per input along the ascending time grid.
     """
-    bath = validate_bath(config.bath or BathParams(N=0.5))
+    bath = config.bath or BathParams(N=0.5)
     times = np.asarray(config.t_grid or DEFAULT_T_GRID, dtype=float) / bath.gamma
     columns = ["input", "gamma_t", "mu", "r", "phi", "ode_residual"]
     rows = []
@@ -234,7 +231,7 @@ def run_ratio_check(config: ExperimentConfig) -> ExperimentReport:
 
     The bath is the config bath (default N = 1 thermal).
     """
-    bath = validate_bath(config.bath or BathParams(N=1.0))
+    bath = config.bath or BathParams(N=1.0)
     t = 1.0 / bath.gamma
     mu_sq = mu_of_t(GaussianParams(r=1.5), bath, t)
     mu_coh = mu_of_t(GaussianParams(), bath, t)

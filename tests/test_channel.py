@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from gausspurity import (BathParams, CovMatrix, GaussianParams, GaussianState,
                          channel_asymptote, evolve_cov,
                          has_purity_minimum, integrate_cov_ode, mu_of_t,
                          mu_optimal, optimal_input, params_from_cov,
-                         phi_of_t, purity, r_of_t, trajectory, validate_bath)
+                         phi_of_t, purity, r_of_t, trajectory)
 
 VACUUM_BATH = BathParams(gamma=1.0, N=0.0, M1=0.0, M2=0.0)
 THERMAL_BATH = BathParams(gamma=1.0, N=1.0, M1=0.0, M2=0.0)
@@ -31,17 +32,17 @@ def random_bath(rng):
 class TestBathValidation:
     def test_good_baths_pass(self, rng):
         for _ in range(20):
-            validate_bath(random_bath(rng))
+            random_bath(rng)
 
     def test_boundary_m_allowed(self):
         n = 1.0
-        validate_bath(BathParams(N=n, M1=math.sqrt(n * (n + 1)), M2=0.0))
+        BathParams(N=n, M1=math.sqrt(n * (n + 1)), M2=0.0)
 
     def test_large_n_bound_has_the_physicality_slack(self):
         # a relative 1e-12 on |M|^2 once let this bath through with mu_inf = 1.000002
         n = 1000.0
         with pytest.raises(UnphysicalBathError):
-            validate_bath(BathParams(N=n, M1=math.sqrt(n * (n + 1) * (1 + 1e-12))))
+            BathParams(N=n, M1=math.sqrt(n * (n + 1) * (1 + 1e-12)))
         m = math.sqrt(n * (n + 1)) * (1 - 1e-12)
         inside = BathParams(N=n, M1=m * math.cos(0.3), M2=m * math.sin(0.3))
         exact = (Fraction(2 * n + 1) ** 2 - 4 * Fraction(inside.M1) ** 2
@@ -51,15 +52,27 @@ class TestBathValidation:
 
     def test_too_much_correlation(self):
         with pytest.raises(UnphysicalBathError):
-            validate_bath(BathParams(N=1.0, M1=1.5, M2=0.0))
+            BathParams(N=1.0, M1=1.5, M2=0.0)
 
     def test_negative_occupation(self):
         with pytest.raises(UnphysicalBathError):
-            validate_bath(BathParams(N=-0.1))
+            BathParams(N=-0.1)
 
     def test_nonpositive_rate(self):
         with pytest.raises(UnphysicalBathError):
-            validate_bath(BathParams(gamma=0.0, N=1.0))
+            BathParams(gamma=0.0, N=1.0)
+
+    def test_replace_checks_the_new_bath(self):
+        with pytest.raises(UnphysicalBathError):
+            replace(SQUEEZED_BATH, M1=1.5)
+        assert asymptotic_cov(replace(SQUEEZED_BATH, M2=0.3)).det == pytest.approx(
+            (9.0 - 4.0 * (0.25 + 0.09)) / 4.0, rel=1e-15)
+
+    def test_det_is_not_a_field(self):
+        # a field would be echoed into every JSON report and break from_dict
+        bath = BathParams(gamma=2.0, N=1.0, M1=0.5, M2=0.3)
+        assert asdict(bath) == {"gamma": 2.0, "N": 1.0, "M1": 0.5, "M2": 0.3}
+        assert BathParams(**asdict(bath)) == bath
 
 
 class TestAsymptote:
@@ -239,6 +252,12 @@ class TestOptimalInput:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(0.8, abs=1e-6)
 
+    def test_mu_optimal_keeps_its_digits_at_small_gamma_t(self):
+        # mu0 + e^{-gamma t}(mu_inf - mu0) once lost 1.2e-12 of mu here
+        bath = BathParams(N=15701.0)
+        assert mu_optimal(1.0, bath, 1e-6) == pytest.approx(
+            mu_of_t(GaussianParams(), bath, 1e-6), rel=4e-16)
+
     def test_optimal_input_thermal_bath(self):
         p = optimal_input(THERMAL_BATH)
         assert p.r == 0.0
@@ -380,11 +399,25 @@ class TestArrayClosedForms:
         assert phi_of_t(p, SQUEEZED_BATH, ts)[0] == pytest.approx(math.pi / 4, rel=1e-15)
 
     def test_negative_time_rejected(self):
+        # NaN compares false with 0, so it once slipped through "t < 0" as a NaN answer
         for fn in (mu_of_t, r_of_t, phi_of_t):
+            for t in (np.array([0.0, -1e-3]), -1.0, math.nan, np.array([0.0, math.nan])):
+                with pytest.raises(ValueError):
+                    fn(GaussianParams(), THERMAL_BATH, t)
+        for t in (-1.0, math.nan):
             with pytest.raises(ValueError):
-                fn(GaussianParams(), THERMAL_BATH, np.array([0.0, -1e-3]))
+                evolve_cov(GaussianState.vacuum(), THERMAL_BATH, t)
             with pytest.raises(ValueError):
-                fn(GaussianParams(), THERMAL_BATH, -1.0)
+                mu_optimal(0.5, THERMAL_BATH, t)
+        # the RK4 oracle takes finite steps over a finite time
+        for t, step in ((-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (1.0, 0.0),
+                        (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                integrate_cov_ode(GaussianState.vacuum(), THERMAL_BATH, t, step)
+        # the closed forms give the asymptote at t = inf
+        mu_inf = channel_asymptote(THERMAL_BATH).mu_inf
+        assert mu_of_t(GaussianParams(r=1.0), THERMAL_BATH, math.inf) == mu_inf
+        assert mu_optimal(0.5, THERMAL_BATH, math.inf) == mu_inf
 
     def test_bath_validated_for_arrays(self):
         with pytest.raises(UnphysicalBathError):

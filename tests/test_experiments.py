@@ -173,6 +173,21 @@ class TestRunners:
             with pytest.raises(ValueError) as info:
                 ExperimentConfig(experiment="fig_varnx", **kw)
             assert str(info.value) == message
+        # each of these once reached a runner and crashed with a TypeError or OverflowError
+        for experiment, kw in (("fig_varnx", dict(n_grid=[1000, math.inf])),
+                               ("fig_varnx", dict(n_grid=[1000, 2500.5])),
+                               ("fig_trequad", dict(n_grid=[6.5, 30])),
+                               ("fig_varnx", dict(trials=2.5)),
+                               ("fig_varnx", dict(trials="3")),
+                               ("fig_varnx", dict(seed=1.5)),
+                               ("fig_varnx", dict(resamples=2.5)),
+                               ("fig_varnx", dict(level="0.5")),
+                               ("fig_varr", dict(r_grid=[0.0, math.nan])),
+                               ("fig_varnth", dict(nbar_grid=["a"])),
+                               ("evolution_time", dict(t_grid=[0.0, math.inf])),
+                               ("evolution_time", dict(t_grid=[0.0, math.nan, 1.0]))):
+            with pytest.raises(ValueError):
+                ExperimentConfig(experiment=experiment, **kw)
 
     @pytest.mark.parametrize("trials", [1, 2])
     def test_two_pairs_are_a_degenerate_point(self, tmp_path, trials):
@@ -400,6 +415,36 @@ class TestCli:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": "resamples must be >= 2, got 1"}
         assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize("command, config, error", [
+        (("figure", "varnx"), '{"n_grid": [1000, Infinity]}', "ValueError"),
+        (("figure", "varnx"), '{"trials": 2.5}', "ValueError"),
+        (("figure", "varnx"), '{"seed": 1.5}', "ValueError"),
+        (("figure", "varnx"), '{"resamples": 2.5}', "ValueError"),
+        (("figure", "varnx"), '{"trials": "3"}', "ValueError"),
+        (("figure", "varnx"), '{"level": "0.5"}', "ValueError"),
+        (("evolve", "time"), '{"t_grid": [0.0, Infinity]}', "ValueError"),
+        (("evolve", "time"), '{"t_grid": [0, NaN, 1]}', "ValueError"),
+        (("evolve", "time"), '{"bath": {"N": 1.0, "M1": 1.5}}', "UnphysicalBathError")],
+        ids=["n_grid-inf", "trials-float", "seed-float", "resamples-float", "trials-str",
+             "level-str", "t_grid-inf", "t_grid-nan", "bath-unphysical"])
+    def test_bad_config_is_json_error(self, tmp_path, capsys, command, config, error):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config)
+        out = tmp_path / "out.csv"
+        assert main([*command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not out.exists()
+
+    def test_json_report_with_a_squeezed_bath_refeeds_to_the_same_csv(self, tmp_path):
+        bath = ["--bath-n", "1.0", "--bath-m1", "0.5", "--bath-m2", "0.3"]
+        report, direct, refed = (tmp_path / n for n in ("time.json", "a.csv", "b.csv"))
+        assert main(["evolve", "time", *bath, "--format", "json", "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]["bath"] == {
+            "gamma": 1.0, "N": 1.0, "M1": 0.5, "M2": 0.3}
+        assert main(["evolve", "time", *bath, "--out", str(direct)]) == 0
+        assert main(["evolve", "time", "--config", str(report), "--out", str(refed)]) == 0
+        assert refed.read_bytes() == direct.read_bytes()
 
     def test_estimate_rejects_too_few_resamples(self, tmp_path, capsys):
         data = tmp_path / "q.csv"

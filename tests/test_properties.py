@@ -1,7 +1,8 @@
 """Property tests of the (nbar, r, phi) <-> sigma core against 50-digit mpmath.
 
 States range over nbar in [0, 50], r in [0, 12] and any phi; baths over
-gamma in [0.1, 10], N in [0, 10] and |M| up to the bound sqrt(N(N+1)).
+gamma in [0.1, 10] and either N in [0, 10] with |M| up to the bound
+sqrt(N(N+1)), or N in [10, 1e6] with |M| up to 0.998 of it.
 The relative bound is 1e-12 throughout.  Where a float input fixes the
 answer only to a few ulps of some larger quantity, the bound adds that
 term explicitly (a few EPS times it), and each such term is named:
@@ -12,9 +13,11 @@ term explicitly (a few EPS times it), and each such term is named:
 * r(t) and phi(t) come from sums of bath and input terms, each known to
   EPS of itself, which cancel where the squeezing of sigma(t) vanishes.
 
-N stays at or below 10 because mu_inf = ((2N+1)^2 - 4|M|^2)^{-1/2} has
-condition number about 8N^2 at the bound: at N = 50 a bath exactly on it
-is known only to about 2e-12.
+det sigma_inf = ((2N+1)^2 - 4|M|^2)/4 is exactly rounded at any N.  The
+entries of sigma_inf are known only to EPS of its larger eigenvalue, so the
+eigenvalue ratio, (1 + f)/(1 - f) at |M| = f*sqrt(N(N+1)), scales that error
+in det sigma(t).  On the bound the ratio is about 16N^2, so on-bound baths
+stay at N <= 10 (ratio <= 1764), and larger N keeps f <= 0.998 (ratio <= 999).
 """
 
 import math
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gausspurity import (BathParams, GaussianParams, GaussianState,
+from gausspurity import (BathParams, GaussianParams, GaussianState, asymptotic_cov,
                          channel_asymptote, evolve_cov, homodyne_variance, mu_of_t,
                          mu_optimal, optimal_input, params_from_cov, purity,
                          sample_q, trajectory)
@@ -48,8 +51,10 @@ def states(draw, max_r=12.0, pure=False):
 
 @st.composite
 def baths(draw, squeezed=True):
-    n = draw(st.floats(0.0, 10.0))
-    m = draw(st.floats(0.0, 1.0)) * math.sqrt(n * (n + 1.0)) if squeezed else 0.0
+    on_bound = draw(st.booleans())
+    n = draw(st.floats(0.0, 10.0) if on_bound else st.floats(10.0, 1e6))
+    fraction = draw(st.floats(0.0, 1.0 if on_bound else 0.998))
+    m = fraction * math.sqrt(n * (n + 1.0)) if squeezed else 0.0
     angle = draw(angles)
     return BathParams(gamma=draw(st.floats(0.1, 10.0)), N=n,
                       M1=m * math.cos(angle), M2=m * math.sin(angle))
@@ -154,9 +159,11 @@ class TestChannel:
     @given(states(), baths())
     def test_every_input_reaches_the_asymptote(self, p, bath):
         asym = channel_asymptote(bath)
-        with mpmath.workdps(50):
+        with mpmath.workdps(60):
             n, m1, m2 = (mpmath.mpf(v) for v in (bath.N, bath.M1, bath.M2))
-            assert _close(asym.mu_inf, ((2 * n + 1) ** 2 - 4 * (m1 * m1 + m2 * m2)) ** -0.5)
+            det = ((2 * n + 1) ** 2 - 4 * (m1 * m1 + m2 * m2)) / 4
+            assert abs(asymptotic_cov(bath).det - det) <= EPS / 2 * det     # exactly rounded
+            assert _close(asym.mu_inf, det ** -0.5 / 2)
         assert mu_of_t(p, bath, 80.0 / bath.gamma) == pytest.approx(asym.mu_inf, rel=RTOL)
 
     @given(states(), baths(squeezed=False), st.sampled_from(GAMMA_T[1:]))
