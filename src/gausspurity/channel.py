@@ -24,6 +24,7 @@ optimal-input construction (see optimal_input).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ import numpy as np
 from .errors import UnphysicalBathError, UnsupportedConditionError
 from .states import (PHYSICALITY_RTOL, CovMatrix, GaussianParams, GaussianState, _spectral,
                      _squeezing, _with_det)
+
+# Most RK4 steps one integrate_cov_ode call may take: a bound on the oracle's work.
+ODE_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,10 @@ class BathParams:
     _det = None         # not a field: det sigma_inf, exactly rounded
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.gamma, self.N, self.M1, self.M2))):
+        values = (self.gamma, self.N, self.M1, self.M2)
+        if not all(isinstance(v, numbers.Real) for v in values):
+            raise UnphysicalBathError(f"bath parameters must be real numbers, got {self}")
+        if not all(map(math.isfinite, values)):
             raise UnphysicalBathError(f"bath parameters must be finite, got {self}")
         if self.gamma <= 0:
             raise UnphysicalBathError(f"damping rate must satisfy gamma > 0, got {self.gamma}")
@@ -70,7 +77,7 @@ class BathParams:
 
     @property
     def m_abs2(self) -> float:
-        return self.M1**2 + self.M2**2
+        return self.M1 * self.M1 + self.M2 * self.M2
 
 
 @dataclass(frozen=True)
@@ -230,11 +237,16 @@ def integrate_cov_ode(state: GaussianState, bath: BathParams, t: float,
 
     Purely an independent oracle for evolve_cov; the ODE is linear, so no
     adaptive stepping is warranted.  Matches the closed form to O(step^4).
+    A call takes at most ODE_MAX_STEPS steps; a longer one raises ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
+    # checked without t/step, which may overflow to inf before ceil sees it
+    if t > ODE_MAX_STEPS * step:
+        raise ValueError(f"t = {t} takes more than {ODE_MAX_STEPS:.0e} RK4 steps "
+                         f"of {step}")
     state.cov.require_physical()
     sinf = asymptotic_cov(bath)
     g = bath.gamma
@@ -274,7 +286,7 @@ class Trajectory:
     @property
     def states(self) -> list:
         """The evolved GaussianState at each time, built on demand, with det 1/(2 mu)^2."""
-        return [GaussianState(_with_det(float(a), float(b), float(c), 0.25 / float(mu)**2),
+        return [GaussianState(_with_det(float(a), float(b), float(c), 0.25 / float(mu * mu)),
                               float(x), float(p)) for a, b, c, mu, x, p in
                 zip(self.sxx, self.spp, self.sxp, self.mus, self.x0, self.p0)]
 

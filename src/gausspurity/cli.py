@@ -6,6 +6,11 @@ Subcommands
     sample                               emit synthetic measurement CSVs
     estimate                             purity estimate from a CSV record
 
+figure and evolve build one ExperimentConfig: from --config, or else the
+experiment's defaults, with every flag given applied over it as an override.
+The --bath-* and --gamma flags build one bath, which needs --bath-n; a field
+whose flag is not given takes BathParams' default.
+
 Validation failures exit nonzero with a machine-readable JSON object on
 stderr.
 """
@@ -16,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -36,27 +41,16 @@ _EVOLUTIONS = {"time": "evolution_time", "r0-sweep": "evolution_r0_sweep",
                "ratio": "ratio_check"}
 
 
-def _add_state_args(parser):
-    parser.add_argument("--x0", type=float, default=0.0)
-    parser.add_argument("--p0", type=float, default=0.0)
-    parser.add_argument("--nbar", type=float, default=0.0)
-    parser.add_argument("--r", type=float, default=0.0)
-    parser.add_argument("--phi", type=float, default=0.0)
-
-
-def _state_from_args(args) -> GaussianState:
-    return GaussianState.from_params(GaussianParams(
-        x0=args.x0, p0=args.p0, nbar=args.nbar, r=args.r, phi=args.phi))
-
-
 def _load_config(path, experiment: str) -> ExperimentConfig:
     with open(path) as fh:
         data = json.load(fh)
-    # a previously emitted JSON report can be re-fed directly
-    if "config" in data and "experiment" in data.get("config", {}):
-        data = data["config"]
-    # set before construction, so a missing state takes this experiment's default
-    return ExperimentConfig.from_dict({**data, "experiment": experiment})
+    if isinstance(data, dict):
+        # a previously emitted JSON report can be re-fed directly
+        if isinstance(data.get("config"), dict) and "experiment" in data["config"]:
+            data = data["config"]
+        # set before construction, so a missing state takes this experiment's default
+        data = {**data, "experiment": experiment}
+    return ExperimentConfig.from_dict(data)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,29 +63,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="run a simulated-experiment table")
     fig.add_argument("name", choices=sorted(_FIGURES))
+    fig.set_defaults(run=_cmd_experiment, experiments=_FIGURES)
     evo = sub.add_parser("evolve", help="run a channel-evolution table")
     evo.add_argument("name", choices=sorted(_EVOLUTIONS))
+    evo.set_defaults(run=_cmd_experiment, experiments=_EVOLUTIONS)
     for p in (fig, evo):
         p.add_argument("--config", help="JSON config (or emitted JSON report)")
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    evo.add_argument("--bath-n", type=float, dest="bath_n")
-    evo.add_argument("--bath-m1", type=float, dest="bath_m1", default=0.0)
-    evo.add_argument("--bath-m2", type=float, dest="bath_m2", default=0.0)
-    evo.add_argument("--gamma", type=float, default=1.0)
+    # each dest is the BathParams field the flag sets
+    evo.add_argument("--bath-n", type=float, dest="N", metavar="BATH_N")
+    evo.add_argument("--bath-m1", type=float, dest="M1", metavar="BATH_M1")
+    evo.add_argument("--bath-m2", type=float, dest="M2", metavar="BATH_M2")
+    evo.add_argument("--gamma", type=float)
 
     smp = sub.add_parser("sample", help="emit a synthetic measurement CSV")
+    smp.set_defaults(run=_cmd_sample)
     smp.add_argument("--kind", choices=("q", "homodyne"), required=True)
     smp.add_argument("--n", type=int, required=True)
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--theta", type=float, action="append",
                      help="homodyne phase; repeatable, default 0 pi/4 pi/2")
     smp.add_argument("--out", required=True)
-    _add_state_args(smp)
+    for f in fields(GaussianParams):
+        smp.add_argument(f"--{f.name}", type=float, default=f.default)
 
     est = sub.add_parser("estimate", help="estimate purity from a CSV record")
+    est.set_defaults(run=_cmd_estimate)
     est.add_argument("--method", choices=("q", "three-quadrature"), required=True)
     est.add_argument("--input", required=True)
     est.add_argument("--resamples", type=int, default=400)
@@ -101,16 +101,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_experiment(args, experiment: str) -> int:
-    if args.config:
-        config = _load_config(args.config, experiment)
-    else:
-        kwargs = {"experiment": experiment}
-        if experiment in _EVOLUTIONS.values() and getattr(args, "bath_n", None) is not None:
-            kwargs["bath"] = BathParams(gamma=args.gamma, N=args.bath_n,
-                                        M1=args.bath_m1, M2=args.bath_m2)
-        config = ExperimentConfig(**kwargs)
-    overrides = {"seed": args.seed, "trials": args.trials, "output_path": args.out}
+def _cmd_experiment(args) -> int:
+    experiment = args.experiments[args.name]
+    config = (_load_config(args.config, experiment) if args.config
+              else ExperimentConfig(experiment))
+    bath = {f.name: getattr(args, f.name) for f in fields(BathParams)
+            if getattr(args, f.name, None) is not None}
+    if bath and "N" not in bath:
+        raise ValueError("--gamma, --bath-m1 and --bath-m2 set a bath, which needs --bath-n")
+    overrides = {"seed": args.seed, "trials": args.trials, "output_path": args.out,
+                 "bath": BathParams(**bath) if bath else None}
     # replace() re-runs __post_init__, so the overrides are validated too
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     emit(run_experiment(config), args.out, args.format)
@@ -118,7 +118,8 @@ def _cmd_experiment(args, experiment: str) -> int:
 
 
 def _cmd_sample(args) -> int:
-    state = _state_from_args(args)
+    state = GaussianState.from_params(GaussianParams(
+        **{f.name: getattr(args, f.name) for f in fields(GaussianParams)}))
     if args.kind == "q":
         sample_q(state, args.n, args.seed).to_csv(args.out)
     else:
@@ -161,14 +162,7 @@ def _cmd_estimate(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "figure":
-            return _cmd_experiment(args, _FIGURES[args.name])
-        if args.command == "evolve":
-            return _cmd_experiment(args, _EVOLUTIONS[args.name])
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
+        return args.run(args)
     except (GaussPurityError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
@@ -177,7 +171,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "OSError", "message": str(exc)}),
               file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

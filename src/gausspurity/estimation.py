@@ -129,7 +129,7 @@ def purity_from_moments(m: MomentEstimate) -> float:
 
 
 def _plug_in_purity(sxx: float, spp: float, sxp: float) -> float:
-    det = sxx * spp - sxp**2
+    det = sxx * spp - sxp * sxp
     if sxx <= 0 or spp <= 0 or det <= 0:
         raise DegenerateSampleError(
             f"estimated covariance has non-positive determinant {det}; "
@@ -250,8 +250,18 @@ def purity_from_three_quadratures(var0: float, var45: float, var90: float) -> fl
     return _three_quadrature_purity(var0, var45, var90)
 
 
+def _three_quadrature_bracket(var0, var45, var90):
+    """1/mu^2 from the three variances, as floats or as arrays, to the same bits.
+
+    diff * diff, not diff ** 2: on a float, ** calls libm pow, which may round
+    otherwise than the product numpy takes for an array.
+    """
+    diff = var0 - var90
+    return 4.0 * var45 * (var0 + var90 - var45) - diff * diff
+
+
 def _three_quadrature_purity(var0: float, var45: float, var90: float) -> float:
-    bracket = 4.0 * var45 * (var0 + var90 - var45) - (var0 - var90) ** 2
+    bracket = _three_quadrature_bracket(var0, var45, var90)
     if bracket <= 0:
         raise DegenerateSampleError(
             f"three-quadrature bracket is non-positive ({bracket}); "
@@ -279,7 +289,7 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
     w0, w45, w90 = np.hstack([[_resampled_covs((b.values,), ((0, 0),), k, rng)[0]
                                for b in (b0, b45, b90)]
                               for k in _chunk_sizes(resamples, max(b0.n, b45.n, b90.n))])
-    bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
+    bracket = _three_quadrature_bracket(w0, w45, w90)
     mus = bracket[bracket > 0] ** -0.5
     return _bootstrap_estimate(point, mus, resamples, level, b0.n + b45.n + b90.n,
                                EstimationMethod.THREE_QUADRATURE, "nonparametric")

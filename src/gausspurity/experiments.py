@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Optional
 
@@ -66,6 +66,9 @@ class ExperimentConfig:
         if self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose one of {tuple(_RUNNERS)}")
+        if self.bath is not None and self.experiment not in ("evolution_time", "ratio_check"):
+            raise ValueError(f"experiment {self.experiment!r} takes no bath; only "
+                             "'evolution_time' and 'ratio_check' do")
         if self.state is None:
             self.state = (VARNTH_STATE if self.experiment == "fig_varnth"
                           else DEFAULT_STATE)
@@ -87,14 +90,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if d.get("state") is not None:
-            d["state"] = GaussianParams(**d["state"])
-        else:
-            d.pop("state", None)
-        if d.get("bath") is not None:
-            d["bath"] = BathParams(**d["bath"])
+        d = _field_values("config", d, cls)
+        for key, params in (("state", GaussianParams), ("bath", BathParams)):
+            if d.get(key) is not None:
+                d[key] = params(**_field_values(key, d[key], params))
         return cls(**d)
+
+
+def _field_values(name: str, d, cls) -> dict:
+    """A copy of d, checked to be a JSON object whose keys are all fields of cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be a JSON object, got {d!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = [k for k in d if k not in names]
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}; expected some of {names}")
+    return dict(d)
 
 
 @dataclass
@@ -195,17 +206,20 @@ def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
 
     The bath is the config bath (default N = 0.5 thermal).  Each row carries
     the residual of the closed-form mu against the RK4 oracle, which is
-    integrated once per input along the ascending time grid.
+    integrated once per input along the ascending time grid in steps of
+    gamma*t = ODE_ORACLE_STEP, so its work does not depend on gamma.  A leg
+    of the grid longer than ODE_MAX_STEPS such steps raises ValueError.
     """
     bath = config.bath or BathParams(N=0.5)
     times = np.asarray(config.t_grid or DEFAULT_T_GRID, dtype=float) / bath.gamma
+    step = ODE_ORACLE_STEP / bath.gamma
     columns = ["input", "gamma_t", "mu", "r", "phi", "ode_residual"]
     rows = []
     for label, params in EVOLUTION_INPUTS:
         traj = trajectory(params, bath, times)
         oracle, t_prev = GaussianState.from_params(params), 0.0
         for t, gt, mu, r, phi in zip(times, traj.times, traj.mus, traj.rs, traj.phis):
-            oracle = integrate_cov_ode(oracle, bath, t - t_prev, step=ODE_ORACLE_STEP)
+            oracle = integrate_cov_ode(oracle, bath, t - t_prev, step=step)
             t_prev = t
             rows.append(dict(zip(columns,
                                  [label, float(gt), float(mu), float(r), float(phi),

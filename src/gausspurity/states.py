@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -61,7 +62,10 @@ class GaussianParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x0, self.p0, self.nbar, self.r, self.phi))):
+        values = (self.x0, self.p0, self.nbar, self.r, self.phi)
+        if not all(isinstance(v, numbers.Real) for v in values):
+            raise ValueError(f"state parameters must be real numbers, got {self}")
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"state parameters must be finite, got {self}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
@@ -93,7 +97,7 @@ class CovMatrix:
 
     @property
     def det(self) -> float:
-        return self.sxx * self.spp - self.sxp**2 if self._det is None else self._det
+        return self.sxx * self.spp - self.sxp * self.sxp if self._det is None else self._det
 
     @property
     def matrix(self) -> np.ndarray:
@@ -205,7 +209,7 @@ def linear_entropy(mu: float) -> float:
 def _wigner_array(state: GaussianState, x, p):
     """Wigner density evaluated elementwise on arrays of phase-space points."""
     cov = state.cov
-    det = cov.sxx * cov.spp - cov.sxp**2     # from the entries: an independent oracle
+    det = cov.sxx * cov.spp - cov.sxp * cov.sxp    # from the entries: an independent oracle
     dx = np.asarray(x, dtype=float) - state.x0
     dp = np.asarray(p, dtype=float) - state.p0
     # sigma^{-1} written out for the 2x2 symmetric case

@@ -177,6 +177,30 @@ class TestThreeQuadratureFormula:
             purity_from_three_quadratures(0.5, 10.0, 0.5)
 
 
+class TestScalarAndResampledFormulas:
+    """A point estimate and its bootstrap resamples go through the same formula.
+
+    The scalar forms once squared with **, which on a float calls libm pow;
+    about 1 float in 1,200 then rounds otherwise than the product numpy takes
+    for an array, so 10^4 random inputs hold several such cases.
+    """
+
+    def test_q_purity(self):
+        rng = np.random.default_rng(5)
+        sxx, spp = rng.uniform(0.5, 2.0, (2, 10_000))
+        sxp = rng.uniform(-0.4, 0.4, 10_000)
+        scalar = [estimation._plug_in_purity(a, b, c)
+                  for a, b, c in zip(sxx.tolist(), spp.tolist(), sxp.tolist())]
+        assert scalar == estimation._q_purities(sxx, spp, sxp).tolist()
+
+    def test_three_quadrature_bracket(self):
+        rng = np.random.default_rng(6)
+        v0, v45, v90 = rng.uniform(0.5, 2.0, (3, 10_000))
+        scalar = [estimation._three_quadrature_bracket(*v)
+                  for v in zip(v0.tolist(), v45.tolist(), v90.tolist())]
+        assert scalar == estimation._three_quadrature_bracket(v0, v45, v90).tolist()
+
+
 class TestEstimatePurityHomodyne:
     def _batches(self, state, m, seed):
         return [sample_homodyne(state, th, m, seed=seed + i)

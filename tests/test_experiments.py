@@ -118,7 +118,8 @@ class TestRunners:
         for row in report.rows:
             params = inputs[row["input"]]
             ref = integrate_cov_ode(GaussianState.from_params(params), bath,
-                                    row["gamma_t"] / bath.gamma, step=ODE_ORACLE_STEP)
+                                    row["gamma_t"] / bath.gamma,
+                                    step=ODE_ORACLE_STEP / bath.gamma)
             assert row["ode_residual"] == pytest.approx(
                 abs(row["mu"] - purity(ref.cov)), abs=1e-12)
             assert all(type(row[k]) is float for k in ("gamma_t", "mu", "r", "phi",
@@ -188,6 +189,27 @@ class TestRunners:
                                ("evolution_time", dict(t_grid=[0.0, math.nan, 1.0]))):
             with pytest.raises(ValueError):
                 ExperimentConfig(experiment=experiment, **kw)
+        # a bath given to an experiment that reads none was once ignored
+        for experiment in ("evolution_r0_sweep", "fig_varnx"):
+            with pytest.raises(ValueError, match="takes no bath"):
+                ExperimentConfig(experiment=experiment, bath=BathParams(N=5.0))
+
+    def test_oracle_steps_do_not_depend_on_gamma(self, monkeypatch):
+        # the oracle once stepped 5e-3 in t, not in gamma*t: 100 times the steps
+        # at gamma = 0.01, and no bound at all as gamma -> 0
+        steps, real = [], experiments.integrate_cov_ode
+
+        def counted(state, bath, t, step):
+            steps[-1] += max(1, math.ceil(t / step - 1e-12))
+            return real(state, bath, t, step)
+
+        monkeypatch.setattr(experiments, "integrate_cov_ode", counted)
+        for gamma in (1.0, 0.01):
+            steps.append(0)
+            run_experiment(ExperimentConfig(experiment="evolution_time",
+                                            t_grid=[0.0, 0.5, 2.0],
+                                            bath=BathParams(gamma=gamma, N=0.5)))
+        assert steps == [3 * (1 + 100 + 300)] * 2
 
     @pytest.mark.parametrize("trials", [1, 2])
     def test_two_pairs_are_a_degenerate_point(self, tmp_path, trials):
@@ -425,9 +447,23 @@ class TestCli:
         (("figure", "varnx"), '{"level": "0.5"}', "ValueError"),
         (("evolve", "time"), '{"t_grid": [0.0, Infinity]}', "ValueError"),
         (("evolve", "time"), '{"t_grid": [0, NaN, 1]}', "ValueError"),
-        (("evolve", "time"), '{"bath": {"N": 1.0, "M1": 1.5}}', "UnphysicalBathError")],
+        (("evolve", "time"), '{"bath": {"N": 1.0, "M1": 1.5}}', "UnphysicalBathError"),
+        # each of these once ended in a traceback, or ran for hours
+        (("evolve", "time"), '{"bogus": 1}', "ValueError"),
+        (("evolve", "time"), '{"state": {"q": 1}}', "ValueError"),
+        (("evolve", "time"), '{"bath": {"N": "1"}}', "UnphysicalBathError"),
+        (("evolve", "time"), '{"state": {"r": "1"}}', "ValueError"),
+        (("evolve", "time"), '[1, 2]', "ValueError"),
+        (("evolve", "time"), '{"state": [1]}', "ValueError"),
+        (("evolve", "time"), '{"bath": 5}', "ValueError"),
+        (("evolve", "time"), '{"t_grid": [0, 1e308]}', "ValueError"),
+        (("evolve", "time"), '{"t_grid": [0, 1e12]}', "ValueError"),
+        (("figure", "varnx"), '{"n_grid": [30], "bath": {"N": 1.0}}', "ValueError")],
         ids=["n_grid-inf", "trials-float", "seed-float", "resamples-float", "trials-str",
-             "level-str", "t_grid-inf", "t_grid-nan", "bath-unphysical"])
+             "level-str", "t_grid-inf", "t_grid-nan", "bath-unphysical", "unknown-key",
+             "unknown-state-key", "bath-str", "state-str", "not-an-object",
+             "state-not-an-object", "bath-not-an-object", "t_grid-1e308", "t_grid-1e12",
+             "figure-bath"])
     def test_bad_config_is_json_error(self, tmp_path, capsys, command, config, error):
         config_path = tmp_path / "config.json"
         config_path.write_text(config)
@@ -445,6 +481,30 @@ class TestCli:
         assert main(["evolve", "time", *bath, "--out", str(direct)]) == 0
         assert main(["evolve", "time", "--config", str(report), "--out", str(refed)]) == 0
         assert refed.read_bytes() == direct.read_bytes()
+
+    def test_bath_flags_override_a_config_bath(self, tmp_path):
+        # the bath flags were once dropped whenever --config was given
+        report, direct, refed = (tmp_path / n for n in ("ratio.json", "a.csv", "b.csv"))
+        assert main(["evolve", "ratio", "--bath-n", "1", "--format", "json",
+                     "--out", str(report)]) == 0
+        assert main(["evolve", "ratio", "--bath-n", "3", "--out", str(direct)]) == 0
+        assert main(["evolve", "ratio", "--config", str(report), "--bath-n", "3",
+                     "--out", str(refed)]) == 0
+        assert refed.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evolve", "ratio", "--gamma", "2", "--bath-m1", "0.4"],
+         "--gamma, --bath-m1 and --bath-m2 set a bath, which needs --bath-n"),
+        (["evolve", "r0-sweep", "--bath-n", "5"],
+         "experiment 'evolution_r0_sweep' takes no bath; only 'evolution_time' "
+         "and 'ratio_check' do")],
+        ids=["bath-without-n", "r0-sweep-bath"])
+    def test_bad_flags_are_json_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+        assert not out.exists()
 
     def test_estimate_rejects_too_few_resamples(self, tmp_path, capsys):
         data = tmp_path / "q.csv"

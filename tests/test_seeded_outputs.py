@@ -18,7 +18,8 @@ A change that alters a pinned output on purpose regenerates the data with
     PYTHONPATH=src python tests/test_seeded_outputs.py
 
 and says in CHANGES.md which outputs changed.  With --diff the same command
-writes nothing and prints the name of each case whose value would change.
+writes nothing, prints the name of each case whose value would change, and
+exits 1 if it printed any, else 0.
 """
 
 from __future__ import annotations
@@ -230,9 +231,10 @@ def _moved(golden) -> list:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        for name in _moved(json.loads(DATA.read_text())):
+        moved = _moved(json.loads(DATA.read_text()))
+        for name in moved:
             print(name)
-        sys.exit(0)
+        sys.exit(1 if moved else 0)
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps({name: case() for name, case in sorted(CASES.items())},
                                indent=1) + "\n")
