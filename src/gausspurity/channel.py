@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalBathError, UnsupportedConditionError
-from .states import (PHYSICALITY_RTOL, CovMatrix, GaussianParams, GaussianState, _spectral,
-                     _squeezing, _with_det)
+from .states import (PHYSICALITY_RTOL, CovMatrix, GaussianParams, GaussianState, _finite,
+                     _spectral, _squeezing, _with_det)
 
 # Most RK4 steps one integrate_cov_ode call may take: a bound on the oracle's work.
 ODE_MAX_STEPS = 1_000_000
@@ -58,7 +58,7 @@ class BathParams:
         values = (self.gamma, self.N, self.M1, self.M2)
         if not all(isinstance(v, numbers.Real) for v in values):
             raise UnphysicalBathError(f"bath parameters must be real numbers, got {self}")
-        if not all(map(math.isfinite, values)):
+        if not all(map(_finite, values)):
             raise UnphysicalBathError(f"bath parameters must be finite, got {self}")
         if self.gamma <= 0:
             raise UnphysicalBathError(f"damping rate must satisfy gamma > 0, got {self.gamma}")

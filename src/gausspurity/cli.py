@@ -8,8 +8,9 @@ Subcommands
 
 figure and evolve build one ExperimentConfig: from --config, or else the
 experiment's defaults, with every flag given applied over it as an override.
-The --bath-* and --gamma flags build one bath, which needs --bath-n; a field
-whose flag is not given takes BathParams' default.
+Only figure takes --seed and --trials.  The evolve flags --bath-* and --gamma
+build one bath, which needs --bath-n; a field whose flag is not given takes
+BathParams' default.
 
 Validation failures exit nonzero with a machine-readable JSON object on
 stderr.
@@ -69,10 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     evo.set_defaults(run=_cmd_experiment, experiments=_EVOLUTIONS)
     for p in (fig, evo):
         p.add_argument("--config", help="JSON config (or emitted JSON report)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+    fig.add_argument("--seed", type=int)
+    fig.add_argument("--trials", type=int)
     # each dest is the BathParams field the flag sets
     evo.add_argument("--bath-n", type=float, dest="N", metavar="BATH_N")
     evo.add_argument("--bath-m1", type=float, dest="M1", metavar="BATH_M1")
@@ -109,8 +110,8 @@ def _cmd_experiment(args) -> int:
             if getattr(args, f.name, None) is not None}
     if bath and "N" not in bath:
         raise ValueError("--gamma, --bath-m1 and --bath-m2 set a bath, which needs --bath-n")
-    overrides = {"seed": args.seed, "trials": args.trials, "output_path": args.out,
-                 "bath": BathParams(**bath) if bath else None}
+    overrides = {"seed": getattr(args, "seed", None), "trials": getattr(args, "trials", None),
+                 "output_path": args.out, "bath": BathParams(**bath) if bath else None}
     # replace() re-runs __post_init__, so the overrides are validated too
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     emit(run_experiment(config), args.out, args.format)

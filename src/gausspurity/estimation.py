@@ -32,14 +32,14 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
 from .sampling import HomodyneBatch, QSampleBatch, _homodyne_variance, _q_pairs, make_rng
-from .states import CovMatrix, GaussianState, purity
+from .states import CovMatrix, GaussianState, _finite, purity
 
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
@@ -82,10 +82,7 @@ class PurityEstimate:
     resamples_used: int        # physical bootstrap resamples behind the CI
 
     def to_dict(self) -> dict:
-        return {"method": self.method.value, "mu_hat": self.mu_hat,
-                "ci_low": self.ci_low, "ci_high": self.ci_high,
-                "level": self.level, "n": self.n, "bootstrap": self.bootstrap,
-                "resamples_used": self.resamples_used}
+        return {**asdict(self), "method": self.method.value}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -314,7 +311,7 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     than silently dropped.  Both the across-trial mean and the
     across-trial standard deviation of the relative error are reported.
     """
-    n_grid = [int(n) for n in _check_grid("n_grid", n_grid, method)]
+    n_grid = _check_grid("n_grid", n_grid, method)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     mu_true = purity(state.cov)
@@ -331,14 +328,14 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
 
 
 def _check_grid(name: str, grid, method=None) -> list:
-    """grid as a list, checked finite, non-empty and strictly ascending.
+    """grid as a list of floats, checked finite, non-empty and strictly ascending.
 
-    With a method, grid holds the sample sizes of that method: whole numbers
-    n >= 2, and n >= 6 for three-quadrature budgets, which are split as n//3
-    per phase and need n//3 >= 2 values in each.
+    With a method, grid holds the sample sizes of that method, returned as
+    ints: whole numbers n >= 2, and n >= 6 for three-quadrature budgets,
+    which are split as n//3 per phase and need n//3 >= 2 values in each.
     """
     grid = list(grid)
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in grid):
+    if not all(isinstance(v, numbers.Real) and _finite(v) for v in grid):
         raise ValueError(f"{name} values must be finite real numbers, got {grid}")
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{name} must be non-empty and strictly ascending, got {grid}")
@@ -350,7 +347,7 @@ def _check_grid(name: str, grid, method=None) -> list:
         if method == EstimationMethod.THREE_QUADRATURE and grid[0] < 6:
             raise ValueError(f"three-quadrature budgets are split as n//3 per phase and "
                              f"need n//3 >= 2, that is n >= 6, got {grid}")
-    return grid
+    return list(map(float if method is None else int, grid))
 
 
 def _q_trial(state: GaussianState, n: int, rng: np.random.Generator, resamples=0, level=0.68):

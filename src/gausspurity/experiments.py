@@ -1,11 +1,11 @@
 """Desk-scale simulated experiments, reproducible from (config, seed).
 
-Each runner returns an ExperimentReport: a flat table plus an echo of the
-configuration and provenance, so a report can be re-run bit-identically
-and emitted as CSV (plot-ready) or JSON (machine-readable).
-
-The Q-method runners draw Gaussian records, so at one trial each estimate
-carries the parametric (Wishart) bootstrap CI of its own fitted Q covariance.
+_EXPERIMENTS lists each experiment: its runner and the default of each of state,
+bath and the four grids that it reads.  ExperimentConfig fills those left None
+and rejects any other one set.  The four Monte Carlo figures share one runner,
+and at one trial a Q estimate carries the parametric (Wishart) bootstrap CI of
+its fitted Q covariance.  A report echoes its config, defaults filled, so it can
+be re-run bit-identically, and is emitted as CSV (plot-ready) or JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,9 +35,6 @@ DEFAULT_N_GRID = [1_000, 3_000, 10_000, 30_000, 100_000]
 DEFAULT_R_GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
 DEFAULT_NBAR_GRID = [0.1, 0.5, 1.0, 2.0, 4.0]
 DEFAULT_T_GRID = [0.1 * k for k in range(51)]
-
-VARR_N = 30_000
-VARNTH_N = 10_000
 
 # Inputs of the time-evolution figure: coherent, squeezed vacuum, hot thermal.
 EVOLUTION_INPUTS = (("coherent", GaussianParams()),
@@ -63,27 +60,28 @@ class ExperimentConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        if self.experiment not in _RUNNERS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose one of {tuple(_RUNNERS)}")
-        if self.bath is not None and self.experiment not in ("evolution_time", "ratio_check"):
-            raise ValueError(f"experiment {self.experiment!r} takes no bath; only "
-                             "'evolution_time' and 'ratio_check' do")
-        if self.state is None:
-            self.state = (VARNTH_STATE if self.experiment == "fig_varnth"
-                          else DEFAULT_STATE)
+                             f"choose one of {tuple(_EXPERIMENTS)}")
+        spec = _EXPERIMENTS[self.experiment]
+        for name in ("state", "bath", "n_grid", "r_grid", "nbar_grid", "t_grid"):
+            value = getattr(self, name)
+            if name not in spec.reads and value is not None:
+                *others, last = (repr(e) for e, x in _EXPERIMENTS.items() if name in x.reads)
+                only = f"{', '.join(others)} and {last} do" if others else f"{last} does"
+                raise ValueError(f"experiment {self.experiment!r} takes no {name}; "
+                                 f"only {only}")
+            value = spec.reads.get(name) if value is None else value
+            if value is not None and name.endswith("_grid"):
+                value = _check_grid(name, value,
+                                    spec.figure.method if name == "n_grid" else None)
+            setattr(self, name, value)
         for name in ("trials", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_bootstrap(self.resamples, self.level)
-        n_method = (EstimationMethod.THREE_QUADRATURE if self.experiment == "fig_trequad"
-                    else EstimationMethod.Q_JOINT)
-        for name in ("n_grid", "r_grid", "nbar_grid", "t_grid"):
-            if getattr(self, name) is not None:
-                setattr(self, name, _check_grid(name, getattr(self, name),
-                                                n_method if name == "n_grid" else None))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,15 +128,24 @@ _DEVIATIONS = {"rel_err": lambda est, mu: float(np.mean(np.abs(est - mu) / mu)),
                "bias": lambda est, mu: float(est.mean()) - mu}
 
 
-def _figure(config, grid, points, trial, last_column) -> ExperimentReport:
-    """Monte Carlo figure report: one row per point, keyed by grid = (column, values).
+def _figure(config, axis, n, method, last_column) -> ExperimentReport:
+    """Monte Carlo figure report: one row per value of the config's axis grid.
 
-    Error bars are the trial's own interval when one estimate survives (the
-    bootstrap CI at trials = 1), else mean +/- across-trial standard
-    deviation.  A point whose every trial is degenerate gives NaN.
+    The axis is n, the sample size, or a field of the config state swept at
+    the fixed sample size n.  Error bars are the trial's own interval when
+    one estimate survives (the bootstrap CI at trials = 1), else mean +/-
+    across-trial standard deviation.  A point whose every trial is
+    degenerate gives NaN.  The trial is looked up per call, not kept in the
+    table, so that a patched _q_trial is the one run.
     """
-    column, values = grid
-    columns = [column, "mu_hat", "err_low", "err_high", "mu_true", last_column,
+    values = getattr(config, f"{axis}_grid")
+    state = GaussianState.from_params(config.state)
+    points = [(state, v) if n is None else
+              (GaussianState.from_params(replace(config.state, **{axis: v})), n)
+              for v in values]
+    trial = (_three_quadrature_trial if method == _TQ else _q_trial if config.trials > 1
+             else partial(_q_trial, resamples=config.resamples, level=config.level))
+    columns = [axis, "mu_hat", "err_low", "err_high", "mu_true", last_column,
                "n_degenerate"]
     rows = []
     for value, (state, _), (est, cis, degenerate) in zip(
@@ -158,60 +165,17 @@ def _figure(config, grid, points, trial, last_column) -> ExperimentReport:
     return _report(config, columns, rows)
 
 
-def _q_trial_for(config: ExperimentConfig):
-    """_q_trial, with its parametric-bootstrap CI when the figure shows one trial."""
-    return (_q_trial if config.trials > 1
-            else partial(_q_trial, resamples=config.resamples, level=config.level))
-
-
-def run_fig_varnx(config: ExperimentConfig) -> ExperimentReport:
-    """Q-method purity estimate versus the number of data."""
-    n_grid = [int(n) for n in config.n_grid or DEFAULT_N_GRID]
-    state = GaussianState.from_params(config.state)
-    return _figure(config, ("n", n_grid), [(state, n) for n in n_grid],
-                   _q_trial_for(config), "rel_err")
-
-
-def run_fig_trequad(config: ExperimentConfig) -> ExperimentReport:
-    """Three-quadrature estimate versus the number of data.
-
-    n >= 6 is the total budget, split as n//3 detections per quadrature.
-    Degenerate trials are flagged in their own column, never dropped
-    silently.
-    """
-    n_grid = [int(n) for n in config.n_grid or DEFAULT_N_GRID]
-    state = GaussianState.from_params(config.state)
-    return _figure(config, ("n", n_grid), [(state, n) for n in n_grid],
-                   _three_quadrature_trial, "bias")
-
-
-def run_fig_varr(config: ExperimentConfig) -> ExperimentReport:
-    """Q-method estimate versus squeezing at fixed nbar, N_x = 3*10^4."""
-    grid = [float(r) for r in config.r_grid or DEFAULT_R_GRID]
-    points = [(GaussianState.from_params(replace(config.state, r=r)), VARR_N)
-              for r in grid]
-    return _figure(config, ("r", grid), points, _q_trial_for(config), "rel_err")
-
-
-def run_fig_varnth(config: ExperimentConfig) -> ExperimentReport:
-    """Q-method estimate versus nbar at the state's squeezing, N_x = 10^4."""
-    grid = [float(nb) for nb in config.nbar_grid or DEFAULT_NBAR_GRID]
-    points = [(GaussianState.from_params(replace(config.state, nbar=nb)), VARNTH_N)
-              for nb in grid]
-    return _figure(config, ("nbar", grid), points, _q_trial_for(config), "rel_err")
-
-
 def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
     """Purity/squeezing trajectories of the three reference inputs.
 
-    The bath is the config bath (default N = 0.5 thermal).  Each row carries
-    the residual of the closed-form mu against the RK4 oracle, which is
-    integrated once per input along the ascending time grid in steps of
-    gamma*t = ODE_ORACLE_STEP, so its work does not depend on gamma.  A leg
-    of the grid longer than ODE_MAX_STEPS such steps raises ValueError.
+    Each row carries the residual of the closed-form mu against the RK4
+    oracle, which is integrated once per input along the ascending time grid
+    in steps of gamma*t = ODE_ORACLE_STEP, so its work does not depend on
+    gamma.  A leg of the grid longer than ODE_MAX_STEPS such steps raises
+    ValueError.
     """
-    bath = config.bath or BathParams(N=0.5)
-    times = np.asarray(config.t_grid or DEFAULT_T_GRID, dtype=float) / bath.gamma
+    bath = config.bath
+    times = np.asarray(config.t_grid) / bath.gamma
     step = ODE_ORACLE_STEP / bath.gamma
     columns = ["input", "gamma_t", "mu", "r", "phi", "ode_residual"]
     rows = []
@@ -229,39 +193,60 @@ def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
 
 def run_evolution_r0_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Purity at gamma*t = 1 versus initial squeezing, thermal baths N in {0, 0.5, 1}."""
-    r_grid = config.r_grid or [0.1 * k for k in range(21)]
     columns = ["N", "r0", "mu"]
     rows = []
     for n_bath in (0.0, 0.5, 1.0):
         bath = BathParams(N=n_bath)
-        for r0 in r_grid:
-            mu = mu_of_t(GaussianParams(r=float(r0)), bath, 1.0 / bath.gamma)
-            rows.append(dict(zip(columns, [n_bath, float(r0), mu])))
+        for r0 in config.r_grid:
+            mu = mu_of_t(GaussianParams(r=r0), bath, 1.0 / bath.gamma)
+            rows.append(dict(zip(columns, [n_bath, r0, mu])))
     return _report(config, columns, rows)
 
 
 def run_ratio_check(config: ExperimentConfig) -> ExperimentReport:
-    """Squeezed (r0 = 1.5) over coherent input purity at gamma*t = 1, in closed form.
-
-    The bath is the config bath (default N = 1 thermal).
-    """
-    bath = config.bath or BathParams(N=1.0)
-    t = 1.0 / bath.gamma
-    mu_sq = mu_of_t(GaussianParams(r=1.5), bath, t)
-    mu_coh = mu_of_t(GaussianParams(), bath, t)
+    """Squeezed (r0 = 1.5) over coherent input purity at gamma*t = 1, in closed form."""
+    t = 1.0 / config.bath.gamma
+    mu_sq = mu_of_t(GaussianParams(r=1.5), config.bath, t)
+    mu_coh = mu_of_t(GaussianParams(), config.bath, t)
     columns = ["gamma_t", "mu_squeezed", "mu_coherent", "ratio"]
     rows = [dict(zip(columns, [1.0, mu_sq, mu_coh, mu_sq / mu_coh]))]
     return _report(config, columns, rows)
 
 
-_RUNNERS = {"fig_varnx": run_fig_varnx, "fig_trequad": run_fig_trequad,
-            "fig_varr": run_fig_varr, "fig_varnth": run_fig_varnth,
-            "evolution_r0_sweep": run_evolution_r0_sweep,
-            "evolution_time": run_evolution_time, "ratio_check": run_ratio_check}
+class _Figure(NamedTuple):
+    axis: str                   # the swept grid and first column: n, r or nbar
+    n: Optional[int]            # the fixed sample size, None when the axis is n
+    method: EstimationMethod    # of its trials, and what its n_grid is checked for
+    last_column: str            # rel_err or bias
+
+
+class _Experiment(NamedTuple):
+    run: Callable               # run(config, *figure) -> ExperimentReport
+    reads: dict                 # each of state, bath and the grids it reads: its default
+    figure: tuple = ()          # a figure's _Figure
+
+
+_Q, _TQ = EstimationMethod.Q_JOINT, EstimationMethod.THREE_QUADRATURE
+_EXPERIMENTS = {
+    "fig_varnx": _Experiment(_figure, {"state": DEFAULT_STATE, "n_grid": DEFAULT_N_GRID},
+                             _Figure("n", None, _Q, "rel_err")),
+    "fig_trequad": _Experiment(_figure, {"state": DEFAULT_STATE, "n_grid": DEFAULT_N_GRID},
+                               _Figure("n", None, _TQ, "bias")),
+    "fig_varr": _Experiment(_figure, {"state": DEFAULT_STATE, "r_grid": DEFAULT_R_GRID},
+                            _Figure("r", 30_000, _Q, "rel_err")),
+    "fig_varnth": _Experiment(_figure, {"state": VARNTH_STATE, "nbar_grid": DEFAULT_NBAR_GRID},
+                              _Figure("nbar", 10_000, _Q, "rel_err")),
+    "evolution_r0_sweep": _Experiment(run_evolution_r0_sweep,
+                                      {"r_grid": [0.1 * k for k in range(21)]}),
+    "evolution_time": _Experiment(run_evolution_time,
+                                  {"bath": BathParams(N=0.5), "t_grid": DEFAULT_T_GRID}),
+    "ratio_check": _Experiment(run_ratio_check, {"bath": BathParams(N=1.0)}),
+}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    return _RUNNERS[config.experiment](config)
+    run, _, figure = _EXPERIMENTS[config.experiment]
+    return run(config, *figure)
 
 
 def emit(report: ExperimentReport, path, fmt: str = "csv"):

@@ -42,6 +42,14 @@ _R_EPS = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _finite(v) -> bool:
+    """math.isfinite(v), but False, not OverflowError, for an int too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 class PhasePoint(NamedTuple):
     x: float
     p: float
@@ -65,7 +73,7 @@ class GaussianParams:
         values = (self.x0, self.p0, self.nbar, self.r, self.phi)
         if not all(isinstance(v, numbers.Real) for v in values):
             raise ValueError(f"state parameters must be real numbers, got {self}")
-        if not all(map(math.isfinite, values)):
+        if not all(map(_finite, values)):
             raise ValueError(f"state parameters must be finite, got {self}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")

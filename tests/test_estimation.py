@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import json
@@ -76,6 +77,13 @@ class TestPurityFromQ:
         assert est.ci_low <= est.mu_hat <= est.ci_high
         assert est.method == EstimationMethod.Q_JOINT
         assert est.n == 100_000
+
+    def test_to_dict_follows_the_fields(self):
+        est = purity_from_q(sample_q(SQUEEZED, 1_000, seed=13), resamples=50)
+        d = est.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(est)]
+        assert type(d["method"]) is str and d["method"] == "q_joint"
+        assert json.loads(est.to_json()) == d
 
     def test_thermal_more_precise_than_squeezed(self):
         thermal = GaussianState.thermal(1.0)

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausspurity.cli as cli
 import gausspurity.estimation as estimation
 import gausspurity.experiments as experiments
 from gausspurity import (BathParams, ExperimentConfig, GaussianParams,
@@ -14,6 +16,18 @@ from gausspurity.experiments import DEFAULT_T_GRID, EVOLUTION_INPUTS, ODE_ORACLE
 from gausspurity.sampling import read_homodyne_batches
 
 SMALL_N_GRID = [300, 1_000, 3_000]
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# an integer too large for a float: float() of it raises OverflowError
+HUGE = str(10 ** 400)
+
+# the config fields among state, bath and the grids that each experiment reads
+READS = {"fig_varnx": {"state", "n_grid"}, "fig_trequad": {"state", "n_grid"},
+         "fig_varr": {"state", "r_grid"}, "fig_varnth": {"state", "nbar_grid"},
+         "evolution_r0_sweep": {"r_grid"}, "evolution_time": {"bath", "t_grid"},
+         "ratio_check": {"bath"}}
+FIELD_VALUES = {"state": GaussianParams(nbar=1.0), "bath": BathParams(N=1.0),
+                "n_grid": [10, 30], "r_grid": [0.0, 1.0], "nbar_grid": [0.5, 1.0],
+                "t_grid": [0.0, 1.0]}
 
 
 def small_config(experiment, **kw):
@@ -250,6 +264,54 @@ class TestRunners:
         assert run_experiment(again).rows == run_experiment(config).rows
 
 
+class TestExperimentTable:
+    def test_experiment_lists_agree(self, monkeypatch):
+        # a new experiment needs its CLI name and its benchmark span
+        monkeypatch.syspath_prepend(str(BENCH))
+        import spans
+
+        names = set(experiments._EXPERIMENTS)
+        assert names == set(READS)
+        assert names == set(cli._FIGURES.values()) | set(cli._EVOLUTIONS.values())
+        assert len(cli._FIGURES) + len(cli._EVOLUTIONS) == len(names)
+        assert names == set(spans.EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment, name", [
+        (e, name) for e in READS for name in FIELD_VALUES if name not in READS[e]])
+    def test_unread_field_rejected(self, experiment, name):
+        # each of these was once ignored: the run used its own default
+        with pytest.raises(ValueError, match=f"^experiment '{experiment}' takes no {name}; "
+                                             "only '"):
+            ExperimentConfig(experiment, **{name: FIELD_VALUES[name]})
+
+    @pytest.mark.parametrize("experiment", READS)
+    def test_read_fields_filled_or_kept(self, experiment):
+        config = ExperimentConfig(experiment)
+        for name in FIELD_VALUES:
+            assert (getattr(config, name) is not None) == (name in READS[experiment]), name
+        given = ExperimentConfig(experiment, **{n: FIELD_VALUES[n] for n in READS[experiment]})
+        for name in READS[experiment]:
+            assert getattr(given, name) == FIELD_VALUES[name]
+
+    def test_defaults_filled(self):
+        assert ExperimentConfig("evolution_time").bath == BathParams(N=0.5)
+        assert ExperimentConfig("evolution_time").t_grid == DEFAULT_T_GRID
+        assert ExperimentConfig("ratio_check").bath == BathParams(N=1.0)
+        assert ExperimentConfig("fig_varnth").state == GaussianParams(nbar=0.5, r=1.0)
+        assert ExperimentConfig("fig_varr").state == GaussianParams(nbar=0.5, r=1.5)
+        r0 = ExperimentConfig("evolution_r0_sweep").r_grid
+        assert len(r0) == 21 and r0[0] == 0.0 and r0[-1] == pytest.approx(2.0)
+
+    def test_grids_typed_once(self):
+        config = ExperimentConfig("fig_varnx", n_grid=[10.0, 30])
+        assert config.n_grid == [10, 30] and all(type(n) is int for n in config.n_grid)
+        for experiment, name in (("fig_varr", "r_grid"), ("fig_varnth", "nbar_grid"),
+                                 ("evolution_r0_sweep", "r_grid"),
+                                 ("evolution_time", "t_grid")):
+            grid = getattr(ExperimentConfig(experiment, **{name: [0, 1]}), name)
+            assert grid == [0.0, 1.0] and all(type(v) is float for v in grid)
+
+
 class TestEmit:
     def test_csv_round_trip(self, tmp_path):
         report = run_experiment(ExperimentConfig(experiment="ratio_check"))
@@ -458,18 +520,49 @@ class TestCli:
         (("evolve", "time"), '{"bath": 5}', "ValueError"),
         (("evolve", "time"), '{"t_grid": [0, 1e308]}', "ValueError"),
         (("evolve", "time"), '{"t_grid": [0, 1e12]}', "ValueError"),
-        (("figure", "varnx"), '{"n_grid": [30], "bath": {"N": 1.0}}', "ValueError")],
+        (("figure", "varnx"), '{"n_grid": [30], "bath": {"N": 1.0}}', "ValueError"),
+        (("figure", "varr"), '{"n_grid": [10, 30]}', "ValueError"),
+        (("evolve", "time"), '{"state": {"nbar": 0.5, "r": 1.5}}', "ValueError"),
+        # integers too large for a float once ended in an OverflowError traceback
+        (("figure", "varnx"), '{"state": {"nbar": %s}}' % HUGE, "ValueError"),
+        (("evolve", "time"), '{"bath": {"N": %s}}' % HUGE, "UnphysicalBathError"),
+        (("evolve", "time"), '{"t_grid": [0, %s]}' % HUGE, "ValueError"),
+        (("figure", "varnx"), '{"n_grid": [30, %s]}' % HUGE, "ValueError")],
         ids=["n_grid-inf", "trials-float", "seed-float", "resamples-float", "trials-str",
              "level-str", "t_grid-inf", "t_grid-nan", "bath-unphysical", "unknown-key",
              "unknown-state-key", "bath-str", "state-str", "not-an-object",
              "state-not-an-object", "bath-not-an-object", "t_grid-1e308", "t_grid-1e12",
-             "figure-bath"])
+             "figure-bath", "varr-n_grid", "evolve-state", "state-huge-int",
+             "bath-huge-int", "t_grid-huge-int", "n_grid-huge-int"])
     def test_bad_config_is_json_error(self, tmp_path, capsys, command, config, error):
         config_path = tmp_path / "config.json"
         config_path.write_text(config)
         out = tmp_path / "out.csv"
         assert main([*command, "--config", str(config_path), "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not out.exists()
+
+    def test_evolve_time_report_echoes_the_defaults_it_used(self, tmp_path):
+        # the report once recorded an unused state and bath: null, t_grid: null
+        report, direct, refed = (tmp_path / n for n in ("time.json", "a.csv", "b.csv"))
+        assert main(["evolve", "time", "--format", "json", "--out", str(report)]) == 0
+        config = json.loads(report.read_text())["config"]
+        assert config["state"] is None
+        assert config["bath"] == {"gamma": 1.0, "N": 0.5, "M1": 0.0, "M2": 0.0}
+        assert config["t_grid"] == DEFAULT_T_GRID
+        assert main(["evolve", "time", "--out", str(direct)]) == 0
+        assert main(["evolve", "time", "--config", str(report), "--out", str(refed)]) == 0
+        assert refed.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--trials", "5"], ["--seed", "3"]],
+                             ids=["trials", "seed"])
+    def test_evolve_takes_no_seed_or_trials(self, tmp_path, capsys, flag):
+        # no evolution table draws: these flags were once accepted and ignored
+        out = tmp_path / "time.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["evolve", "time", *flag, "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     def test_json_report_with_a_squeezed_bath_refeeds_to_the_same_csv(self, tmp_path):
