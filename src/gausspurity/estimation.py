@@ -32,6 +32,7 @@ import math
 import numbers
 import os
 import threading
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
 from .sampling import HomodyneBatch, QSampleBatch, _homodyne_variance, _q_pairs, make_rng
-from .states import CovMatrix, GaussianState, _finite, purity
+from .states import CovMatrix, GaussianState, _finite, _number, purity
 
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
@@ -202,11 +203,11 @@ def _chunk_sizes(resamples: int, n: int) -> list:
 
 def _check_bootstrap(resamples: int, level: float):
     """Reject, before any draw, what no bootstrap interval can come from."""
-    if not isinstance(resamples, numbers.Integral):
+    if not _number(resamples, numbers.Integral):
         raise ValueError(f"resamples must be an integer, got {resamples!r}")
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples}")
-    if not isinstance(level, numbers.Real):
+    if not _number(level):
         raise ValueError(f"confidence level must be a real number, got {level!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
@@ -328,14 +329,17 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
 
 
 def _check_grid(name: str, grid, method=None) -> list:
-    """grid as a list of floats, checked finite, non-empty and strictly ascending.
+    """grid, any iterable but a string, as a list of floats, checked finite, non-empty
+    and strictly ascending.
 
     With a method, grid holds the sample sizes of that method, returned as
     ints: whole numbers n >= 2, and n >= 6 for three-quadrature budgets,
     which are split as n//3 per phase and need n//3 >= 2 values in each.
     """
+    if isinstance(grid, str) or not isinstance(grid, Iterable):
+        raise ValueError(f"{name} must be a list of numbers, got {grid!r}")
     grid = list(grid)
-    if not all(isinstance(v, numbers.Real) and _finite(v) for v in grid):
+    if not all(_number(v) and _finite(v) for v in grid):
         raise ValueError(f"{name} values must be finite real numbers, got {grid}")
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{name} must be non-empty and strictly ascending, got {grid}")

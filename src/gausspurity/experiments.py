@@ -24,7 +24,7 @@ from . import __version__
 from .channel import BathParams, GaussianParams, integrate_cov_ode, mu_of_t, trajectory
 from .estimation import (EstimationMethod, _check_bootstrap, _check_grid, _monte_carlo,
                          _q_trial, _three_quadrature_trial)
-from .states import GaussianState, purity
+from .states import GaussianState, _number, purity
 
 # Fig. 1/2 state: strongly squeezed thermal state with true purity 0.5.
 DEFAULT_STATE = GaussianParams(nbar=0.5, r=1.5, phi=0.0)
@@ -77,10 +77,12 @@ class ExperimentConfig:
                                     spec.figure.method if name == "n_grid" else None)
             setattr(self, name, value)
         for name in ("trials", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _number(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_bootstrap(self.resamples, self.level)
 
     def to_dict(self) -> dict:

@@ -42,6 +42,11 @@ _R_EPS = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _number(v, kind=numbers.Real) -> bool:
+    """Whether v is a number of kind; a bool, which JSON true and false become, is not."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _finite(v) -> bool:
     """math.isfinite(v), but False, not OverflowError, for an int too large for a float."""
     try:
@@ -71,7 +76,7 @@ class GaussianParams:
 
     def __post_init__(self):
         values = (self.x0, self.p0, self.nbar, self.r, self.phi)
-        if not all(isinstance(v, numbers.Real) for v in values):
+        if not all(map(_number, values)):
             raise ValueError(f"state parameters must be real numbers, got {self}")
         if not all(map(_finite, values)):
             raise ValueError(f"state parameters must be finite, got {self}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,21 @@ class TestExperimentTable:
             grid = getattr(ExperimentConfig(experiment, **{name: [0, 1]}), name)
             assert grid == [0.0, 1.0] and all(type(v) is float for v in grid)
 
+    @pytest.mark.parametrize("grid", [(0, 1), np.arange(2)], ids=["tuple", "array"])
+    def test_grid_any_sequence(self, grid):
+        assert ExperimentConfig("evolution_time", t_grid=grid).t_grid == [0.0, 1.0]
+
+    @pytest.mark.parametrize("experiment, name, value, message", [
+        ("fig_varnx", "seed", -1, "seed must be >= 0, got -1"),
+        ("fig_varnx", "trials", True, "trials must be an integer, got True"),
+        ("fig_varnx", "n_grid", [30, True], "n_grid values must be finite real numbers"),
+        ("evolution_time", "t_grid", 3, "t_grid must be a list of numbers, got 3"),
+        ("evolution_time", "t_grid", "01", "t_grid must be a list of numbers, got '01'")])
+    def test_bad_field_named(self, experiment, name, value, message):
+        # a negative seed once failed inside numpy without naming the field
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ExperimentConfig(experiment, **{name: value})
+
 
 class TestEmit:
     def test_csv_round_trip(self, tmp_path):
@@ -527,13 +543,22 @@ class TestCli:
         (("figure", "varnx"), '{"state": {"nbar": %s}}' % HUGE, "ValueError"),
         (("evolve", "time"), '{"bath": {"N": %s}}' % HUGE, "UnphysicalBathError"),
         (("evolve", "time"), '{"t_grid": [0, %s]}' % HUGE, "ValueError"),
-        (("figure", "varnx"), '{"n_grid": [30, %s]}' % HUGE, "ValueError")],
+        (("figure", "varnx"), '{"n_grid": [30, %s]}' % HUGE, "ValueError"),
+        # a grid that is not a list once ended in a traceback or was split into characters
+        (("evolve", "time"), '{"t_grid": 3}', "ValueError"),
+        (("evolve", "time"), '{"t_grid": "01"}', "ValueError"),
+        # JSON true was once taken as the number 1, and a negative seed failed in numpy
+        (("figure", "varnth"), '{"trials": true}', "ValueError"),
+        (("evolve", "time"), '{"bath": {"N": true}}', "UnphysicalBathError"),
+        (("figure", "varnx"), '{"state": {"r": true}}', "ValueError"),
+        (("figure", "varnx"), '{"seed": -1}', "ValueError")],
         ids=["n_grid-inf", "trials-float", "seed-float", "resamples-float", "trials-str",
              "level-str", "t_grid-inf", "t_grid-nan", "bath-unphysical", "unknown-key",
              "unknown-state-key", "bath-str", "state-str", "not-an-object",
              "state-not-an-object", "bath-not-an-object", "t_grid-1e308", "t_grid-1e12",
              "figure-bath", "varr-n_grid", "evolve-state", "state-huge-int",
-             "bath-huge-int", "t_grid-huge-int", "n_grid-huge-int"])
+             "bath-huge-int", "t_grid-huge-int", "n_grid-huge-int", "t_grid-int",
+             "t_grid-str", "trials-true", "bath-true", "state-true", "seed-negative"])
     def test_bad_config_is_json_error(self, tmp_path, capsys, command, config, error):
         config_path = tmp_path / "config.json"
         config_path.write_text(config)
