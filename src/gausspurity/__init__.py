@@ -17,10 +17,8 @@ from .estimation import (EstimationMethod, MomentEstimate, PurityEstimate,
 from .experiments import ExperimentConfig, ExperimentReport, emit, run_experiment
 from .sampling import (HomodyneBatch, QSampleBatch, homodyne_variance,
                        q_covariance, sample_homodyne, sample_q)
-from .states import (CovMatrix, GaussianParams, GaussianState, PhasePoint,
-                     cov_from_params, gaussian_weighted_integral,
-                     linear_entropy, params_from_cov, purity,
-                     purity_by_phase_space_integral, purity_from_nbar,
-                     seralian, wigner_eval)
+from .states import (CovMatrix, GaussianParams, GaussianState, cov_from_params,
+                     gaussian_weighted_integral, params_from_cov, purity,
+                     purity_by_phase_space_integral, seralian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

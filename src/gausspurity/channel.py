@@ -297,23 +297,6 @@ class Trajectory:
     x0: np.ndarray
     p0: np.ndarray
 
-    @property
-    def states(self) -> list:
-        """The evolved GaussianState at each time, built on demand, with det 1/(2 mu)^2."""
-        return [GaussianState(_with_det(float(a), float(b), float(c), 0.25 / float(mu * mu)),
-                              float(x), float(p)) for a, b, c, mu, x, p in
-                zip(self.sxx, self.spp, self.sxp, self.mus, self.x0, self.p0)]
-
-    def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma_t", "mu", "r", "phi",
-                             "sxx", "spp", "sxp", "x0", "p0"])
-            writer.writerows(zip(self.times, self.mus, self.rs, self.phis,
-                                 self.sxx, self.spp, self.sxp, self.x0, self.p0))
-
 
 def trajectory(state0: GaussianParams, bath: BathParams, times) -> Trajectory:
     """Evaluate the analytic evolution on a time grid (physical times)."""

@@ -111,7 +111,7 @@ def _cmd_experiment(args) -> int:
     if bath and "N" not in bath:
         raise ValueError("--gamma, --bath-m1 and --bath-m2 set a bath, which needs --bath-n")
     overrides = {"seed": getattr(args, "seed", None), "trials": getattr(args, "trials", None),
-                 "output_path": args.out, "bath": BathParams(**bath) if bath else None}
+                 "bath": BathParams(**bath) if bath else None}
     # replace() re-runs __post_init__, so the overrides are validated too
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     emit(run_experiment(config), args.out, args.format)

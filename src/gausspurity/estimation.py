@@ -336,7 +336,9 @@ def _check_grid(name: str, grid, method=None) -> list:
     ints: whole numbers n >= 2, and n >= 6 for three-quadrature budgets,
     which are split as n//3 per phase and need n//3 >= 2 values in each.
     """
-    if isinstance(grid, str) or not isinstance(grid, Iterable):
+    # a 0-d array is Iterable, but iterating it raises TypeError
+    if (isinstance(grid, str) or not isinstance(grid, Iterable)
+            or isinstance(grid, np.ndarray) and grid.ndim == 0):
         raise ValueError(f"{name} must be a list of numbers, got {grid!r}")
     grid = list(grid)
     if not all(_number(v) and _finite(v) for v in grid):

@@ -1,11 +1,12 @@
 """Desk-scale simulated experiments, reproducible from (config, seed).
 
-_EXPERIMENTS lists each experiment: its runner and the default of each of state,
-bath and the four grids that it reads.  ExperimentConfig fills those left None
-and rejects any other one set.  The four Monte Carlo figures share one runner,
-and at one trial a Q estimate carries the parametric (Wishart) bootstrap CI of
-its fitted Q covariance.  A report echoes its config, defaults filled, so it can
-be re-run bit-identically, and is emitted as CSV (plot-ready) or JSON.
+_EXPERIMENTS lists each experiment: its runner and the default of each config
+field that it reads.  ExperimentConfig fills those left None and rejects any
+other one set, so an evolution, which draws nothing, takes no trials or seed.
+The four Monte Carlo figures share one runner, and at one trial a Q estimate
+carries the parametric (Wishart) bootstrap CI of its fitted Q covariance.  A
+report echoes its config, defaults filled, so it can be re-run bit-identically,
+and is emitted as CSV (plot-ready) or JSON.
 """
 
 from __future__ import annotations
@@ -43,28 +44,30 @@ EVOLUTION_INPUTS = (("coherent", GaussianParams()),
 
 ODE_ORACLE_STEP = 5e-3
 
+# The Monte Carlo fields that every figure reads, and their defaults.
+_MONTE_CARLO = {"trials": 1, "seed": 0, "resamples": 400, "level": 0.68}
+
 
 @dataclass
 class ExperimentConfig:
     experiment: str
-    state: Optional[GaussianParams] = None    # None: the experiment's default
+    state: Optional[GaussianParams] = None    # None: the experiment's default, or unread
     bath: Optional[BathParams] = None
     n_grid: Optional[list] = None
     r_grid: Optional[list] = None
     nbar_grid: Optional[list] = None
     t_grid: Optional[list] = None
-    trials: int = 1
-    seed: int = 0
-    resamples: int = 400
-    level: float = 0.68
-    output_path: str = ""
+    trials: Optional[int] = None
+    seed: Optional[int] = None
+    resamples: Optional[int] = None
+    level: Optional[float] = None
 
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose one of {tuple(_EXPERIMENTS)}")
         spec = _EXPERIMENTS[self.experiment]
-        for name in ("state", "bath", "n_grid", "r_grid", "nbar_grid", "t_grid"):
+        for name in (f.name for f in fields(self)[1:]):
             value = getattr(self, name)
             if name not in spec.reads and value is not None:
                 *others, last = (repr(e) for e, x in _EXPERIMENTS.items() if name in x.reads)
@@ -76,6 +79,8 @@ class ExperimentConfig:
                 value = _check_grid(name, value,
                                     spec.figure.method if name == "n_grid" else None)
             setattr(self, name, value)
+        if "trials" not in spec.reads:
+            return
         for name in ("trials", "seed"):
             if not _number(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -84,9 +89,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_bootstrap(self.resamples, self.level)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -116,12 +118,9 @@ class ExperimentReport:
     config: dict
     provenance: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _report(config: ExperimentConfig, columns, rows) -> ExperimentReport:
-    return ExperimentReport(config.experiment, columns, rows, config.to_dict(),
+    return ExperimentReport(config.experiment, columns, rows, asdict(config),
                             {"library_version": __version__, "seed": config.seed})
 
 
@@ -224,19 +223,20 @@ class _Figure(NamedTuple):
 
 class _Experiment(NamedTuple):
     run: Callable               # run(config, *figure) -> ExperimentReport
-    reads: dict                 # each of state, bath and the grids it reads: its default
+    reads: dict                 # each config field it reads: its default
     figure: tuple = ()          # a figure's _Figure
 
 
 _Q, _TQ = EstimationMethod.Q_JOINT, EstimationMethod.THREE_QUADRATURE
 _EXPERIMENTS = {
-    "fig_varnx": _Experiment(_figure, {"state": DEFAULT_STATE, "n_grid": DEFAULT_N_GRID},
-                             _Figure("n", None, _Q, "rel_err")),
-    "fig_trequad": _Experiment(_figure, {"state": DEFAULT_STATE, "n_grid": DEFAULT_N_GRID},
-                               _Figure("n", None, _TQ, "bias")),
-    "fig_varr": _Experiment(_figure, {"state": DEFAULT_STATE, "r_grid": DEFAULT_R_GRID},
-                            _Figure("r", 30_000, _Q, "rel_err")),
-    "fig_varnth": _Experiment(_figure, {"state": VARNTH_STATE, "nbar_grid": DEFAULT_NBAR_GRID},
+    "fig_varnx": _Experiment(_figure, {"state": DEFAULT_STATE, "n_grid": DEFAULT_N_GRID,
+                                       **_MONTE_CARLO}, _Figure("n", None, _Q, "rel_err")),
+    "fig_trequad": _Experiment(_figure, {"state": DEFAULT_STATE, "n_grid": DEFAULT_N_GRID,
+                                         **_MONTE_CARLO}, _Figure("n", None, _TQ, "bias")),
+    "fig_varr": _Experiment(_figure, {"state": DEFAULT_STATE, "r_grid": DEFAULT_R_GRID,
+                                      **_MONTE_CARLO}, _Figure("r", 30_000, _Q, "rel_err")),
+    "fig_varnth": _Experiment(_figure, {"state": VARNTH_STATE, "nbar_grid": DEFAULT_NBAR_GRID,
+                                        **_MONTE_CARLO},
                               _Figure("nbar", 10_000, _Q, "rel_err")),
     "evolution_r0_sweep": _Experiment(run_evolution_r0_sweep,
                                       {"r_grid": [0.1 * k for k in range(21)]}),
@@ -261,7 +261,7 @@ def emit(report: ExperimentReport, path, fmt: str = "csv"):
                 writer.writerows(report.rows)
         elif fmt == "json":
             with open(path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
+                json.dump(asdict(report), fh, indent=2)
                 fh.write("\n")
         else:
             raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")

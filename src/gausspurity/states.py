@@ -25,7 +25,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -53,11 +53,6 @@ def _finite(v) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
-
-
-class PhasePoint(NamedTuple):
-    x: float
-    p: float
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ class GaussianParams:
             raise ValueError(f"r = {self.r} at nbar = {self.nbar} overflows the "
                              "covariance entries")
         phi = self.phi % math.pi
-        if self.r < _R_EPS:
+        if self.r < _R_EPS or phi == math.pi:      # a tiny negative phi rounds up to pi
             phi = 0.0
         object.__setattr__(self, "phi", float(phi))
 
@@ -148,19 +143,6 @@ class GaussianState:
     def vacuum(cls) -> "GaussianState":
         return cls(cov=CovMatrix(VACUUM_VAR, VACUUM_VAR, 0.0))
 
-    @classmethod
-    def thermal(cls, nbar: float) -> "GaussianState":
-        return cls.from_params(GaussianParams(nbar=nbar))
-
-    def to_dict(self) -> dict:
-        return {"x0": self.x0, "p0": self.p0, "sxx": self.cov.sxx,
-                "spp": self.cov.spp, "sxp": self.cov.sxp}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianState":
-        return cls(cov=CovMatrix(d["sxx"], d["spp"], d["sxp"]),
-                   x0=d.get("x0", 0.0), p0=d.get("p0", 0.0))
-
 
 def _with_det(sxx, spp, sxp, det) -> CovMatrix:
     """A CovMatrix that carries det, known more exactly than its entries give it."""
@@ -205,22 +187,10 @@ def purity(cov: CovMatrix) -> float:
     return 1.0 / (2.0 * math.sqrt(cov.det))
 
 
-def purity_from_nbar(nbar: float) -> float:
-    """mu = 1/(2*nbar + 1); the purity depends on nbar alone."""
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    return 1.0 / (2.0 * nbar + 1.0)
-
-
-def linear_entropy(mu: float) -> float:
-    """Linear entropy (mixedness) 1 - mu, in the infinite-dimensional limit."""
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"purity must lie in (0, 1], got {mu}")
-    return 1.0 - mu
-
-
 def _wigner_array(state: GaussianState, x, p):
-    """Wigner density evaluated elementwise on arrays of phase-space points."""
+    """Wigner density evaluated elementwise on arrays of phase-space points.
+
+    Normalized over dx dp (unit integral, vacuum peak 1/pi)."""
     cov = state.cov
     det = cov.sxx * cov.spp - cov.sxp * cov.sxp    # from the entries: an independent oracle
     dx = np.asarray(x, dtype=float) - state.x0
@@ -228,18 +198,6 @@ def _wigner_array(state: GaussianState, x, p):
     # sigma^{-1} written out for the 2x2 symmetric case
     quad = (cov.spp * dx * dx - 2.0 * cov.sxp * dx * dp + cov.sxx * dp * dp) / det
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-
-def wigner_eval(state: GaussianState, pt: PhasePoint) -> float:
-    """Value of the Gaussian Wigner function W(x, p) at a phase-space point.
-
-    Normalized as a density over dx dp (unit integral, vacuum peak 1/pi);
-    in the complex-plane measure d^2(alpha) = dx dp / 2 the same state
-    carries twice this value.
-    """
-    state.cov.require_physical()
-    x, p = pt
-    return float(_wigner_array(state, x, p))
 
 
 @functools.lru_cache(maxsize=None)

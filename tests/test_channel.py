@@ -462,54 +462,15 @@ class TestSqueezingPrecision:
 
 
 class TestTrajectory:
-    def test_columns_and_values(self, tmp_path):
+    def test_columns_and_values(self):
         times = [0.0, 0.5, 1.0, 2.0]
         traj = trajectory(GaussianParams(nbar=0.0, r=0.0), THERMAL_BATH, times)
         assert isinstance(traj, Trajectory)
         assert list(traj.times) == times
         assert traj.mus[0] == pytest.approx(1.0)
         assert traj.mus[2] == pytest.approx(0.4416493, abs=1e-6)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "gamma_t,mu,r,phi,sxx,spp,sxp,x0,p0"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (4, 9)
-        assert data[2, 1] == pytest.approx(0.4416493, abs=1e-6)
 
     def test_rejects_unphysical_state(self):
         bad = GaussianState(cov=CovMatrix(sxx=0.1, spp=0.1, sxp=0.0))
         with pytest.raises(PhysicalityError):
             evolve_cov(bad, THERMAL_BATH, 1.0)
-
-    def test_states_match_evolve_cov(self):
-        p = GaussianParams(x0=1.0, p0=-0.5, nbar=0.3, r=1.2, phi=0.4)
-        times = [0.0, 0.25, 1.0, 4.0]
-        traj = trajectory(p, SQUEEZED_BATH, times)
-        states = traj.states
-        assert len(states) == len(times)
-        initial = GaussianState.from_params(p)
-        for t, s in zip(times, states):
-            assert isinstance(s, GaussianState)
-            assert all(type(v) is float for v in
-                       (s.cov.sxx, s.cov.spp, s.cov.sxp, s.x0, s.p0))
-            ref = evolve_cov(initial, SQUEEZED_BATH, t)
-            assert s.cov.sxx == pytest.approx(ref.cov.sxx, rel=1e-14)
-            assert s.cov.spp == pytest.approx(ref.cov.spp, rel=1e-14)
-            assert s.cov.sxp == pytest.approx(ref.cov.sxp, rel=1e-14)
-            assert (s.x0, s.p0) == pytest.approx((ref.x0, ref.p0), rel=1e-14)
-        with pytest.raises(AttributeError):
-            traj.states = []
-
-    def test_csv_rows_are_float_reprs(self, tmp_path):
-        times = [0.0, 0.5, 1.0]
-        traj = trajectory(GaussianParams(x0=1.0, nbar=0.2, r=0.7, phi=0.3),
-                          SQUEEZED_BATH, times)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + len(times)
-        for line, gt, mu, r, phi, s in zip(lines[1:], traj.times, traj.mus,
-                                           traj.rs, traj.phis, traj.states):
-            values = [gt, mu, r, phi, s.cov.sxx, s.cov.spp, s.cov.sxp, s.x0, s.p0]
-            assert line == ",".join(repr(float(v)) for v in values)

@@ -86,7 +86,7 @@ class TestPurityFromQ:
         assert json.loads(est.to_json()) == d
 
     def test_thermal_more_precise_than_squeezed(self):
-        thermal = GaussianState.thermal(1.0)
+        thermal = GaussianState.from_params(GaussianParams(nbar=1.0))
         n, trials = 10_000, 40
         def spread(state):
             ests = [purity_from_moments(moments_from_q(sample_q(state, n, seed=100 + k)))
@@ -111,7 +111,7 @@ class TestPurityFromQ:
 
     def test_bootstrap_coverage(self):
         # nominal 68% interval should cover the truth in a 60-76% band
-        state = GaussianState.thermal(1.0)
+        state = GaussianState.from_params(GaussianParams(nbar=1.0))
         mu_true = purity(state.cov)
         trials, hits = 400, 0
         for k in range(trials):
@@ -558,7 +558,7 @@ class TestQTrial:
 
     def test_parametric_bootstrap_coverage(self):
         # same state, sizes, record seeds and band as the nonparametric test
-        state = GaussianState.thermal(1.0)
+        state = GaussianState.from_params(GaussianParams(nbar=1.0))
         mu_true = purity(state.cov)
         trials, hits = 400, 0
         for k in range(trials):

@@ -1,15 +1,20 @@
 import json
 import math
 import re
+import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gausspurity
 import gausspurity.cli as cli
 import gausspurity.estimation as estimation
 import gausspurity.experiments as experiments
-from gausspurity import (BathParams, ExperimentConfig, GaussianParams,
+from gausspurity import (BathParams, ExperimentConfig, GaussianParams, GaussPurityError,
                          GaussianState, QSampleBatch, cov_from_params, emit,
                          integrate_cov_ode, purity, run_experiment)
 from gausspurity.cli import main
@@ -21,14 +26,17 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # an integer too large for a float: float() of it raises OverflowError
 HUGE = str(10 ** 400)
 
-# the config fields among state, bath and the grids that each experiment reads
-READS = {"fig_varnx": {"state", "n_grid"}, "fig_trequad": {"state", "n_grid"},
-         "fig_varr": {"state", "r_grid"}, "fig_varnth": {"state", "nbar_grid"},
+# the config fields that each experiment reads: only a figure draws
+MONTE_CARLO = {"trials", "seed", "resamples", "level"}
+READS = {"fig_varnx": {"state", "n_grid", *MONTE_CARLO},
+         "fig_trequad": {"state", "n_grid", *MONTE_CARLO},
+         "fig_varr": {"state", "r_grid", *MONTE_CARLO},
+         "fig_varnth": {"state", "nbar_grid", *MONTE_CARLO},
          "evolution_r0_sweep": {"r_grid"}, "evolution_time": {"bath", "t_grid"},
          "ratio_check": {"bath"}}
 FIELD_VALUES = {"state": GaussianParams(nbar=1.0), "bath": BathParams(N=1.0),
                 "n_grid": [10, 30], "r_grid": [0.0, 1.0], "nbar_grid": [0.5, 1.0],
-                "t_grid": [0.0, 1.0]}
+                "t_grid": [0.0, 1.0], "trials": 2, "seed": 1, "resamples": 50, "level": 0.9}
 
 
 def small_config(experiment, **kw):
@@ -201,7 +209,8 @@ class TestRunners:
                                ("fig_varr", dict(r_grid=[0.0, math.nan])),
                                ("fig_varnth", dict(nbar_grid=["a"])),
                                ("evolution_time", dict(t_grid=[0.0, math.inf])),
-                               ("evolution_time", dict(t_grid=[0.0, math.nan, 1.0]))):
+                               ("evolution_time", dict(t_grid=[0.0, math.nan, 1.0])),
+                               ("evolution_time", dict(t_grid=np.array(3.0)))):
             with pytest.raises(ValueError):
                 ExperimentConfig(experiment=experiment, **kw)
         # a bath given to an experiment that reads none was once ignored
@@ -236,7 +245,7 @@ class TestRunners:
         assert two["n_degenerate"] == trials
         assert all(math.isnan(two[k]) for k in ("mu_hat", "err_low", "err_high", "rel_err"))
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config.to_dict()))
+        config_path.write_text(json.dumps(asdict(config)))
         assert main(["figure", "varnx", "--config", str(config_path),
                      "--out", str(tmp_path / "varnx.csv")]) == 0
 
@@ -260,8 +269,8 @@ class TestRunners:
 
     def test_config_round_trip(self):
         config = small_config("fig_varnx", state=GaussianParams(nbar=1.0, r=0.5))
-        again = ExperimentConfig.from_dict(config.to_dict())
-        assert again.to_dict() == config.to_dict()
+        again = ExperimentConfig.from_dict(asdict(config))
+        assert asdict(again) == asdict(config)
         assert run_experiment(again).rows == run_experiment(config).rows
 
 
@@ -328,6 +337,71 @@ class TestExperimentTable:
             ExperimentConfig(experiment, **{name: value})
 
 
+# Any small JSON value; and for each config field, values near and inside its range.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.just(10 ** 400)
+    | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+NUMBERS = st.integers(-2, 40) | st.floats(-1.0, 3.0)
+GRIDS = st.lists(NUMBERS, max_size=4, unique=True).map(sorted)
+
+
+def _params_dicts(cls):
+    return st.dictionaries(st.sampled_from([f.name for f in fields(cls)]),
+                           NUMBERS | JSON_VALUES, max_size=3)
+
+
+# the ten fields and output_path, which is no field: nothing ever read it
+CONFIG_DICTS = st.fixed_dictionaries({}, optional={
+    name: values | JSON_VALUES for name, values in (
+        ("state", _params_dicts(GaussianParams)), ("bath", _params_dicts(BathParams)),
+        ("n_grid", GRIDS), ("r_grid", GRIDS), ("nbar_grid", GRIDS), ("t_grid", GRIDS),
+        ("trials", st.integers(-1, 4)), ("seed", st.integers(-1, 2 ** 64)),
+        ("resamples", st.integers(0, 500)), ("level", st.floats(-0.5, 1.5)),
+        ("output_path", st.text(max_size=3)))})
+
+
+class TestConfigContract:
+    @settings(max_examples=150)
+    @given(st.sampled_from(list(READS)), CONFIG_DICTS, st.sampled_from(["ratio", "r0-sweep"]))
+    def test_config_rejected_or_read_and_round_tripped(self, experiment, data, command):
+        try:
+            config = ExperimentConfig.from_dict({**data, "experiment": experiment})
+        except (ValueError, GaussPurityError):
+            pass
+        else:
+            for f in fields(config)[1:]:
+                assert (getattr(config, f.name) is None) == (f.name not in READS[experiment])
+            assert ExperimentConfig.from_dict(asdict(config)) == config
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "config.json")
+            path.write_text(json.dumps(data))
+            assert main(["evolve", command, "--config", str(path),
+                         "--out", str(Path(tmp, "out.csv"))]) in (0, 2)
+
+
+def test_public_surface():
+    # a new public name is added here on purpose
+    assert set(gausspurity.__all__) == {
+        "BathParams", "ChannelAsymptote", "CovMatrix", "CoverageError",
+        "DegenerateSampleError", "EstimationMethod", "ExperimentConfig",
+        "ExperimentReport", "GaussPurityError", "GaussianParams", "GaussianState",
+        "HomodyneBatch", "InsufficientDataError", "MomentEstimate", "PhysicalityError",
+        "PurityEstimate", "QSampleBatch", "SweepRow", "Trajectory",
+        "UnphysicalBathError", "UnsupportedConditionError", "asymptotic_cov",
+        "channel_asymptote", "cov_from_params", "emit", "error_scaling_sweep",
+        "estimate_purity_homodyne", "evolve_cov", "gaussian_weighted_integral",
+        "has_purity_minimum", "homodyne_variance", "integrate_cov_ode", "moments_from_q",
+        "mu_of_t", "mu_optimal", "optimal_input", "params_from_cov", "phi_of_t", "purity",
+        "purity_by_phase_space_integral", "purity_from_moments", "purity_from_q",
+        "purity_from_three_quadratures", "q_covariance", "r_of_t", "run_experiment",
+        "sample_homodyne", "sample_q", "seralian", "trajectory",
+        # the modules behind them
+        "channel", "errors", "estimation", "experiments", "sampling", "states"}
+
+
 class TestEmit:
     def test_csv_round_trip(self, tmp_path):
         report = run_experiment(ExperimentConfig(experiment="ratio_check"))
@@ -370,9 +444,9 @@ class TestCli:
 
     def test_figure_with_config_file(self, tmp_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(small_config(
+        config_path.write_text(json.dumps(asdict(small_config(
             "fig_varnx", trials=2,
-            state=GaussianParams(nbar=0.5, r=0.5)).to_dict()))
+            state=GaussianParams(nbar=0.5, r=0.5)))))
         out = tmp_path / "varnx.json"
         rc = main(["figure", "varnx", "--config", str(config_path),
                    "--out", str(out), "--format", "json"])
@@ -551,14 +625,17 @@ class TestCli:
         (("figure", "varnth"), '{"trials": true}', "ValueError"),
         (("evolve", "time"), '{"bath": {"N": true}}', "UnphysicalBathError"),
         (("figure", "varnx"), '{"state": {"r": true}}', "ValueError"),
-        (("figure", "varnx"), '{"seed": -1}', "ValueError")],
+        (("figure", "varnx"), '{"seed": -1}', "ValueError"),
+        # no evolution draws: its trials were once accepted, ignored and echoed
+        (("evolve", "ratio"), '{"trials": 5}', "ValueError")],
         ids=["n_grid-inf", "trials-float", "seed-float", "resamples-float", "trials-str",
              "level-str", "t_grid-inf", "t_grid-nan", "bath-unphysical", "unknown-key",
              "unknown-state-key", "bath-str", "state-str", "not-an-object",
              "state-not-an-object", "bath-not-an-object", "t_grid-1e308", "t_grid-1e12",
              "figure-bath", "varr-n_grid", "evolve-state", "state-huge-int",
              "bath-huge-int", "t_grid-huge-int", "n_grid-huge-int", "t_grid-int",
-             "t_grid-str", "trials-true", "bath-true", "state-true", "seed-negative"])
+             "t_grid-str", "trials-true", "bath-true", "state-true", "seed-negative",
+             "evolve-trials"])
     def test_bad_config_is_json_error(self, tmp_path, capsys, command, config, error):
         config_path = tmp_path / "config.json"
         config_path.write_text(config)
@@ -575,6 +652,8 @@ class TestCli:
         assert config["state"] is None
         assert config["bath"] == {"gamma": 1.0, "N": 0.5, "M1": 0.0, "M2": 0.0}
         assert config["t_grid"] == DEFAULT_T_GRID
+        assert [config[k] for k in ("trials", "seed", "resamples", "level")] == [None] * 4
+        assert json.loads(report.read_text())["provenance"]["seed"] is None
         assert main(["evolve", "time", "--out", str(direct)]) == 0
         assert main(["evolve", "time", "--config", str(report), "--out", str(refed)]) == 0
         assert refed.read_bytes() == direct.read_bytes()

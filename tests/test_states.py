@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from gausspurity import (CovMatrix, CoverageError, GaussianParams,
-                         GaussianState, PhasePoint, PhysicalityError,
-                         cov_from_params, gaussian_weighted_integral,
-                         linear_entropy, params_from_cov, purity,
-                         purity_by_phase_space_integral, purity_from_nbar,
-                         seralian, wigner_eval)
-from gausspurity.states import _gauss_legendre
+                         GaussianState, PhysicalityError, cov_from_params,
+                         gaussian_weighted_integral, params_from_cov, purity,
+                         purity_by_phase_space_integral, seralian)
+from gausspurity.states import _gauss_legendre, _wigner_array
 
 I2 = np.eye(2)
 A2 = np.diag([1.0, -1.0])
@@ -58,6 +56,8 @@ class TestCovFromParams:
         p = GaussianParams(r=1.0, phi=math.pi + 0.3)
         assert p.phi == pytest.approx(0.3)
         assert GaussianParams(r=0.0, phi=0.7).phi == 0.0
+        # -1e-20 % pi rounds to pi itself, once stored outside [0, pi)
+        assert GaussianParams(r=1.0, phi=-1e-20).phi == 0.0
 
 
 class TestParamsFromCov:
@@ -149,46 +149,33 @@ class TestPurity:
                 assert mu == pytest.approx(1 / (2 * nbar + 1), abs=1e-12)
 
     def test_from_nbar(self):
-        assert purity_from_nbar(0.0) == 1.0
-        assert purity_from_nbar(0.5) == 0.5
-        assert purity_from_nbar(9.5) == pytest.approx(0.05)
-        with pytest.raises(ValueError):
-            purity_from_nbar(-1e-3)
-
-
-class TestLinearEntropy:
-    def test_values(self):
-        assert linear_entropy(1.0) == 0.0
-        assert linear_entropy(0.5) == 0.5
-        assert linear_entropy(1 / 3) == pytest.approx(2 / 3)
-
-    @pytest.mark.parametrize("mu", [0.0, -0.5, 1.2])
-    def test_domain(self, mu):
-        with pytest.raises(ValueError):
-            linear_entropy(mu)
+        assert GaussianParams(nbar=0.0).mu == 1.0
+        assert GaussianParams(nbar=0.5).mu == 0.5
+        assert GaussianParams(nbar=9.5).mu == pytest.approx(0.05)
+        with pytest.raises(ValueError, match="nbar must be >= 0"):
+            GaussianParams(nbar=-1e-3)
 
 
 class TestWigner:
     def test_vacuum_peak(self):
-        w = wigner_eval(GaussianState.vacuum(), PhasePoint(0, 0))
+        w = _wigner_array(GaussianState.vacuum(), 0.0, 0.0)
         assert w == pytest.approx(1 / math.pi, rel=1e-13)
 
     def test_vacuum_off_center(self):
-        w = wigner_eval(GaussianState.vacuum(), PhasePoint(1, 0))
+        w = _wigner_array(GaussianState.vacuum(), 1.0, 0.0)
         assert w == pytest.approx(math.exp(-1) / math.pi, rel=1e-13)
 
     def test_thermal_peak(self):
-        w = wigner_eval(GaussianState.thermal(1.0), PhasePoint(0, 0))
+        w = _wigner_array(GaussianState.from_params(GaussianParams(nbar=1.0)), 0.0, 0.0)
         assert w == pytest.approx(1 / (3 * math.pi), rel=1e-13)
 
     def test_positive_and_maximal_at_mean(self, rng):
         p = random_params(rng)
         st = GaussianState.from_params(p)
-        peak = wigner_eval(st, PhasePoint(p.x0, p.p0))
+        peak = _wigner_array(st, p.x0, p.p0)
         assert peak > 0
-        for _ in range(20):
-            w = wigner_eval(st, PhasePoint(rng.uniform(-5, 5), rng.uniform(-5, 5)))
-            assert 0 < w <= peak
+        w = _wigner_array(st, rng.uniform(-5, 5, 20), rng.uniform(-5, 5, 20))
+        assert np.all((0 < w) & (w <= peak))
 
 
 class TestPhaseSpaceIntegral:
@@ -201,7 +188,7 @@ class TestPhaseSpaceIntegral:
         assert purity_by_phase_space_integral(st) == pytest.approx(0.5, abs=1e-6)
 
     def test_thermal(self):
-        st = GaussianState.thermal(1.0)
+        st = GaussianState.from_params(GaussianParams(nbar=1.0))
         assert purity_by_phase_space_integral(st) == pytest.approx(1 / 3, abs=1e-6)
 
     def test_matches_closed_form_randomized(self, rng):
@@ -262,12 +249,6 @@ class TestSeralian:
                      + rng.uniform(-1, 1) * B2)
             val = gaussian_weighted_integral(st, _seralian_integrand(st, gamma))
             assert abs(val) < 1e-8
-
-
-class TestStateSerialization:
-    def test_dict_round_trip(self, rng):
-        st = GaussianState.from_params(random_params(rng))
-        assert GaussianState.from_dict(st.to_dict()) == st
 
 
 class TestPhysicality:
