@@ -6,9 +6,8 @@ from .channel import (BathParams, ChannelAsymptote, Trajectory, asymptotic_cov,
                       channel_asymptote, evolve_cov, has_purity_minimum,
                       integrate_cov_ode, mu_of_t, mu_optimal, optimal_input,
                       phi_of_t, r_of_t, trajectory)
-from .errors import (CoverageError, DegenerateSampleError, GaussPurityError,
-                     InsufficientDataError, PhysicalityError,
-                     UnphysicalBathError, UnsupportedConditionError)
+from .errors import (DegenerateSampleError, GaussPurityError, InsufficientDataError,
+                     PhysicalityError, UnphysicalBathError, UnsupportedConditionError)
 from .estimation import (EstimationMethod, MomentEstimate, PurityEstimate,
                          SweepRow, error_scaling_sweep,
                          estimate_purity_homodyne, moments_from_q,

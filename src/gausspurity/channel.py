@@ -157,23 +157,23 @@ def evolve_cov(state: GaussianState, bath: BathParams, t: float) -> GaussianStat
 
 
 def _purity_forms(state0: GaussianParams, bath: BathParams, t):
-    """(mu, (sxx, spp, sxp), (gap0, eta, om)) of the input state0 at t, each like t.
+    """(mu, (sxp, gap0, eta, om)) of the input state0 at t, each like t.
 
-    The purity and sigma(t), then spp - sxx of sigma(0) and _relaxation(bath, t),
+    The purity, then sxp of sigma(t), spp - sxx of sigma(0) and _relaxation(bath, t),
     from which _closed_forms goes on to the squeezing."""
     cov0, gap0 = _spectral((2.0 * state0.nbar + 1.0) / 2.0, state0.r, state0.phi)
     eta, om = _relaxation(bath, t)
-    sxx, spp, sxp, det = _evolved(cov0, bath, eta, om)
-    return 0.5 / np.sqrt(det), (sxx, spp, sxp), (gap0, eta, om)
+    _, _, sxp, det = _evolved(cov0, bath, eta, om)
+    return 0.5 / np.sqrt(det), (sxp, gap0, eta, om)
 
 
 def _closed_forms(state0: GaussianParams, bath: BathParams, t):
-    """(mu, r, phi, sxx, spp, sxp) of the input state0 at t, each like t, in one pass.
+    """(mu, r, phi) of the input state0 at t, each like t, in one pass.
 
     spp - sxx of sigma(t) comes from -2*M1 and that of sigma(0), not from its
     entries, so r(t) keeps its digits as the squeezing vanishes."""
-    mu, (sxx, spp, sxp), (gap0, eta, om) = _purity_forms(state0, bath, t)
-    return (mu, *_squeezing(mu, 2.0 * sxp, gap0 * eta - 2.0 * bath.M1 * om), sxx, spp, sxp)
+    mu, (sxp, gap0, eta, om) = _purity_forms(state0, bath, t)
+    return (mu, *_squeezing(mu, 2.0 * sxp, gap0 * eta - 2.0 * bath.M1 * om))
 
 
 def mu_of_t(state0: GaussianParams, bath: BathParams, t):
@@ -250,8 +250,8 @@ def integrate_cov_ode(state: GaussianState, bath: BathParams, t: float,
     stepped alone in Python floats, in the operation order of the 5-vector
     numpy step (h*k/2 as (h/2)*k, the stage sum left to right); IEEE rounding
     is the same on a float as on an array element, so the bits are too.
-    A call takes at most ODE_MAX_STEPS steps, under 2 s; a longer one raises
-    ValueError.
+    A call takes at most ODE_MAX_STEPS steps, under 2 s, of gamma*h <= 2.78 (RK4
+    diverges past about 2.785); any other call raises ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
@@ -266,6 +266,9 @@ def integrate_cov_ode(state: GaussianState, bath: BathParams, t: float,
     g = float(bath.gamma)
     n_steps = max(1, int(math.ceil(t / step - 1e-12)))
     h = float(t / n_steps)
+    if g * h > 2.78:
+        raise ValueError(f"gamma*h = {g * h} > 2.78 nears RK4's real-axis stability bound "
+                         "of about 2.785, past which it diverges; take a smaller step")
     hh, h6 = 0.5 * h, h / 6.0
     out = []
     for y, rate, target in ((state.cov.sxx, g, sinf.sxx), (state.cov.spp, g, sinf.spp),
@@ -285,22 +288,15 @@ def integrate_cov_ode(state: GaussianState, bath: BathParams, t: float,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times in units of 1/gamma plus per-time columns."""
+    """Sampled evolution: times in units of 1/gamma plus the closed forms at each."""
 
     times: np.ndarray        # gamma * t
     mus: np.ndarray
     rs: np.ndarray
     phis: np.ndarray
-    sxx: np.ndarray
-    spp: np.ndarray
-    sxp: np.ndarray
-    x0: np.ndarray
-    p0: np.ndarray
 
 
 def trajectory(state0: GaussianParams, bath: BathParams, times) -> Trajectory:
     """Evaluate the analytic evolution on a time grid (physical times)."""
     times = np.asarray(times, dtype=float)
-    damp = np.exp(-0.5 * bath.gamma * times)
-    return Trajectory(bath.gamma * times, *_closed_forms(state0, bath, times),
-                      state0.x0 * damp, state0.p0 * damp)
+    return Trajectory(bath.gamma * times, *_closed_forms(state0, bath, times))

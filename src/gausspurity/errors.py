@@ -9,10 +9,6 @@ class PhysicalityError(GaussPurityError, ValueError):
     """Covariance matrix violates the uncertainty bound det(sigma) >= 1/4."""
 
 
-class CoverageError(GaussPurityError, ValueError):
-    """Phase-space integration box is too narrow to bound the tail mass."""
-
-
 class InsufficientDataError(GaussPurityError, ValueError):
     """Too few samples to form the requested estimate."""
 

@@ -169,25 +169,23 @@ def _figure(config, axis, n, method, last_column) -> ExperimentReport:
 def run_evolution_time(config: ExperimentConfig) -> ExperimentReport:
     """Purity/squeezing trajectories of the three reference inputs.
 
-    Each row carries the residual of the closed-form mu against the RK4
-    oracle, which is integrated once per input along the ascending time grid
-    in steps of gamma*t = ODE_ORACLE_STEP, so its work does not depend on
-    gamma.  A leg of the grid longer than ODE_MAX_STEPS such steps raises
-    ValueError.
+    Like every evolution table it runs at gamma = 1, so its times are gamma*t
+    and its rows do not depend on gamma.  Each row carries the residual of the
+    closed-form mu against the RK4 oracle, which is integrated once per input
+    along the ascending time grid in steps of ODE_ORACLE_STEP.  A leg of the
+    grid longer than ODE_MAX_STEPS such steps raises ValueError.
     """
-    bath = config.bath
-    times = np.asarray(config.t_grid) / bath.gamma
-    step = ODE_ORACLE_STEP / bath.gamma
+    bath = replace(config.bath, gamma=1.0)
     columns = ["input", "gamma_t", "mu", "r", "phi", "ode_residual"]
     rows = []
     for label, params in EVOLUTION_INPUTS:
-        traj = trajectory(params, bath, times)
+        traj = trajectory(params, bath, config.t_grid)
         oracle, t_prev = GaussianState.from_params(params), 0.0
-        for t, gt, mu, r, phi in zip(times, traj.times, traj.mus, traj.rs, traj.phis):
-            oracle = integrate_cov_ode(oracle, bath, t - t_prev, step=step)
+        for t, mu, r, phi in zip(config.t_grid, traj.mus, traj.rs, traj.phis):
+            oracle = integrate_cov_ode(oracle, bath, t - t_prev, step=ODE_ORACLE_STEP)
             t_prev = t
             rows.append(dict(zip(columns,
-                                 [label, float(gt), float(mu), float(r), float(phi),
+                                 [label, t, float(mu), float(r), float(phi),
                                   float(abs(mu - purity(oracle.cov)))])))
     return _report(config, columns, rows)
 
@@ -199,16 +197,16 @@ def run_evolution_r0_sweep(config: ExperimentConfig) -> ExperimentReport:
     for n_bath in (0.0, 0.5, 1.0):
         bath = BathParams(N=n_bath)
         for r0 in config.r_grid:
-            mu = mu_of_t(GaussianParams(r=r0), bath, 1.0 / bath.gamma)
+            mu = mu_of_t(GaussianParams(r=r0), bath, 1.0)
             rows.append(dict(zip(columns, [n_bath, r0, mu])))
     return _report(config, columns, rows)
 
 
 def run_ratio_check(config: ExperimentConfig) -> ExperimentReport:
     """Squeezed (r0 = 1.5) over coherent input purity at gamma*t = 1, in closed form."""
-    t = 1.0 / config.bath.gamma
-    mu_sq = mu_of_t(GaussianParams(r=1.5), config.bath, t)
-    mu_coh = mu_of_t(GaussianParams(), config.bath, t)
+    bath = replace(config.bath, gamma=1.0)
+    mu_sq = mu_of_t(GaussianParams(r=1.5), bath, 1.0)
+    mu_coh = mu_of_t(GaussianParams(), bath, 1.0)
     columns = ["gamma_t", "mu_squeezed", "mu_coherent", "ratio"]
     rows = [dict(zip(columns, [1.0, mu_sq, mu_coh, mu_sq / mu_coh]))]
     return _report(config, columns, rows)

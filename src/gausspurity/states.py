@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoverageError, PhysicalityError
+from .errors import PhysicalityError
 
 VACUUM_VAR = 0.5
 
@@ -41,8 +41,13 @@ _R_EPS = 1e-12
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# Quadrature box half-width in sigmas (a tail mass of 1.2e-15 per axis), orders, tolerances.
+_BOX_SIGMAS = 8.0
+_QUAD_ORDERS = (40, 80, 160, 320, 640, 1280)
+_QUAD_RTOL, _QUAD_ATOL = 1e-8, 1e-10
 
-def _number(v, kind=numbers.Real) -> bool:
+
+def _number(v, kind=(float, numbers.Real)) -> bool:    # float first skips a slow ABC check
     """Whether v is a number of kind; a bool, which JSON true and false become, is not."""
     return isinstance(v, kind) and not isinstance(v, bool)
 
@@ -53,6 +58,13 @@ def _finite(v) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
+
+
+def _angle(phi, r):
+    """phi mod pi in [0, pi) on floats or arrays: pi, which a tiny negative phi rounds
+    up to, becomes 0, as does the angle where r < _R_EPS, which is undefined."""
+    phi = phi % math.pi
+    return phi * ((phi != math.pi) & (r >= _R_EPS))
 
 
 @dataclass(frozen=True)
@@ -83,10 +95,7 @@ class GaussianParams:
         if 2.0 * self.r + max(0.0, math.log(self.nbar + 0.5)) > _LOG_FLOAT_MAX:
             raise ValueError(f"r = {self.r} at nbar = {self.nbar} overflows the "
                              "covariance entries")
-        phi = self.phi % math.pi
-        if self.r < _R_EPS or phi == math.pi:      # a tiny negative phi rounds up to pi
-            phi = 0.0
-        object.__setattr__(self, "phi", float(phi))
+        object.__setattr__(self, "phi", float(_angle(self.phi, self.r)))
 
     @property
     def mu(self) -> float:
@@ -162,10 +171,9 @@ def _spectral(c: float, r: float, phi: float):
 def _squeezing(mu, two_sxp, gap):
     """(r, phi) from mu, 2*sxp and gap = spp - sxx, like them: _spectral inverted.
 
-    asinh keeps the digits of r as r -> 0, atan2 resolves the quadrant of 2*phi,
-    and below r = _R_EPS the angle is undefined and set to 0."""
+    asinh keeps the digits of r as r -> 0, and atan2 resolves the quadrant of 2*phi."""
     r = 0.5 * np.arcsinh(mu * np.hypot(two_sxp, gap))
-    return r, (0.5 * np.arctan2(two_sxp, gap)) % math.pi * (r >= _R_EPS)
+    return r, _angle(0.5 * np.arctan2(two_sxp, gap), r)
 
 
 def cov_from_params(params: GaussianParams) -> CovMatrix:
@@ -209,31 +217,20 @@ def _gauss_legendre(order: int):
 
 
 def gaussian_weighted_integral(state: GaussianState,
-                               integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                               half_width_sigmas: float = 8.0,
-                               rtol: float = 1e-8,
-                               atol: float = 1e-10,
-                               start_order: int = 40,
-                               max_order: int = 1280) -> float:
+                               integrand: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                               ) -> float:
     """Integral of integrand(x, p) * W(x, p) over phase space.
 
     Tensor-product Gauss-Legendre quadrature on a box aligned with the
-    principal axes of the covariance matrix, extending half_width_sigmas
-    standard deviations along each axis.  The order is doubled until two
-    successive values agree to rtol (plus atol for integrals near zero).
+    principal axes of the covariance matrix, extending _BOX_SIGMAS standard
+    deviations along each axis.  The order is doubled until two successive
+    values agree to _QUAD_RTOL (plus _QUAD_ATOL for integrals near zero).
     """
     state.cov.require_physical()
-    # Gaussian mass outside the box, per axis and both tails.
-    tail = 2.0 * math.erfc(half_width_sigmas / math.sqrt(2.0))
-    if tail > 1e-9:
-        raise CoverageError(
-            f"box of +/-{half_width_sigmas} standard deviations leaves "
-            f"tail mass {tail:.3e} > 1e-9")
     evals, evecs = np.linalg.eigh(state.cov.matrix)
-    half = half_width_sigmas * np.sqrt(evals)
+    half = _BOX_SIGMAS * np.sqrt(evals)
     prev = None
-    order = start_order
-    while order <= max_order:
+    for order in _QUAD_ORDERS:
         t, w = _gauss_legendre(order)
         u0 = half[0] * t
         u1 = half[1] * t
@@ -242,26 +239,22 @@ def gaussian_weighted_integral(state: GaussianState,
         P = state.p0 + evecs[1, 0] * U0 + evecs[1, 1] * U1
         vals = integrand(X, P) * _wigner_array(state, X, P)
         total = float(half[0] * half[1] * np.einsum("i,j,ij->", w, w, vals))
-        if prev is not None and abs(total - prev) <= rtol * abs(total) + atol:
+        if prev is not None and abs(total - prev) <= _QUAD_RTOL * abs(total) + _QUAD_ATOL:
             return total
         prev = total
-        order *= 2
-    raise RuntimeError(f"quadrature did not converge below order {max_order}")
+    raise RuntimeError(f"quadrature did not converge below order {_QUAD_ORDERS[-1]}")
 
 
-def purity_by_phase_space_integral(state: GaussianState,
-                                   half_width_sigmas: float = 8.0,
-                                   rtol: float = 1e-8) -> float:
+def purity_by_phase_space_integral(state: GaussianState) -> float:
     """Numerical purity from the overlap integral of the Wigner function.
 
     mu = 2*pi * Int W^2 dx dp for the unit-normalized W used here (the
     same quantity as (pi/2) * Int W^2 in the d^2(alpha)-normalized
     convention).  Independent oracle for purity(); agrees with the
-    closed form to well below 1e-6 at the default settings.
+    closed form to well below 1e-6.
     """
     w = lambda x, p: _wigner_array(state, x, p)
-    return 2.0 * math.pi * gaussian_weighted_integral(
-        state, w, half_width_sigmas=half_width_sigmas, rtol=rtol)
+    return 2.0 * math.pi * gaussian_weighted_integral(state, w)
 
 
 def seralian(X, sigma, gamma) -> float:

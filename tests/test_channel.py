@@ -409,11 +409,14 @@ class TestArrayClosedForms:
                 evolve_cov(GaussianState.vacuum(), THERMAL_BATH, t)
             with pytest.raises(ValueError):
                 mu_optimal(0.5, THERMAL_BATH, t)
-        # the RK4 oracle takes finite steps over a finite time
-        for t, step in ((-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (1.0, 0.0),
-                        (1.0, math.nan), (1.0, math.inf)):
+        # the RK4 oracle takes finite steps over a finite time, within RK4's stability
+        # bound: gamma*h = 10 once gave sxx = -2.46e7
+        for bath, t, step in ((THERMAL_BATH, -1.0, 0.1), (THERMAL_BATH, math.nan, 0.1),
+                              (THERMAL_BATH, math.inf, 0.1), (THERMAL_BATH, 1.0, 0.0),
+                              (THERMAL_BATH, 1.0, math.nan), (THERMAL_BATH, 1.0, math.inf),
+                              (BathParams(gamma=10.0, N=1.0), 3.0, 1.0)):
             with pytest.raises(ValueError):
-                integrate_cov_ode(GaussianState.vacuum(), THERMAL_BATH, t, step)
+                integrate_cov_ode(GaussianState.vacuum(), bath, t, step)
         # the closed forms give the asymptote at t = inf
         mu_inf = channel_asymptote(THERMAL_BATH).mu_inf
         assert mu_of_t(GaussianParams(r=1.0), THERMAL_BATH, math.inf) == mu_inf

@@ -2,12 +2,12 @@ import json
 import math
 import re
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gausspurity
@@ -15,8 +15,9 @@ import gausspurity.cli as cli
 import gausspurity.estimation as estimation
 import gausspurity.experiments as experiments
 from gausspurity import (BathParams, ExperimentConfig, GaussianParams, GaussPurityError,
-                         GaussianState, QSampleBatch, cov_from_params, emit,
-                         integrate_cov_ode, purity, run_experiment)
+                         GaussianState, QSampleBatch, UnphysicalBathError, channel_asymptote,
+                         cov_from_params, emit, integrate_cov_ode, phi_of_t, purity,
+                         run_experiment, trajectory)
 from gausspurity.cli import main
 from gausspurity.experiments import DEFAULT_T_GRID, EVOLUTION_INPUTS, ODE_ORACLE_STEP
 from gausspurity.sampling import read_homodyne_batches
@@ -235,6 +236,20 @@ class TestRunners:
                                             bath=BathParams(gamma=gamma, N=0.5)))
         assert steps == [3 * (1 + 100 + 300)] * 2
 
+    @pytest.mark.parametrize("experiment", ["evolution_time", "ratio_check"])
+    def test_tables_do_not_depend_on_gamma(self, experiment):
+        # the runners once took t = v/gamma: at gamma = 3, 18 of the 153 gamma_t values
+        # left the grid, and at gamma = 5e-324 t = 1/gamma overflowed to a ratio of 1.0
+        rows = {}
+        for gamma in (1.0, 3.0, 0.7, 5e-324):
+            bath = replace(ExperimentConfig(experiment).bath, gamma=gamma)
+            rows[gamma] = run_experiment(ExperimentConfig(experiment, bath=bath)).rows
+            assert repr(rows[gamma]) == repr(rows[1.0])        # bit for bit
+        if experiment == "ratio_check":
+            assert rows[5e-324][0]["ratio"] == pytest.approx(0.5369998, abs=1e-7)
+        else:
+            assert [row["gamma_t"] for row in rows[3.0]] == DEFAULT_T_GRID * 3
+
     @pytest.mark.parametrize("trials", [1, 2])
     def test_two_pairs_are_a_degenerate_point(self, tmp_path, trials):
         # a rank-1 sample covariance: degenerate at any trial count, never an error
@@ -382,11 +397,78 @@ class TestConfigContract:
                          "--out", str(Path(tmp, "out.csv"))]) in (0, 2)
 
 
+# the gamma*t at which the channel contract reads the squeezing angle
+GAMMA_T = [0.0, 1e-6, 0.5, 1.0, 4.0, 40.0]
+
+
+@st.composite
+def contract_baths(draw):
+    """(gamma, N, M1, M2): gamma log-uniform over [5e-324, 1e300], N <= 1e6, and M inside
+    or on the bound |M|^2 = N(N+1), with M1 and M2 of either sign down to 1e-300."""
+    gamma = max(5e-324, 10.0 ** draw(st.floats(math.log10(5e-324), 300.0)))
+    n = draw(st.sampled_from([0.0, 1.0, 1e6]) | st.floats(0.0, 1e6))
+    m = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * math.sqrt(n * (n + 1.0))
+    angle = draw(st.floats(-math.pi, math.pi))
+    tiny = st.sampled_from([1e-300, -1e-300])
+    return (gamma, n, draw(st.just(m * math.cos(angle)) | tiny),
+            draw(st.just(m * math.sin(angle)) | tiny))
+
+
+class TestChannelContract:
+    @settings(max_examples=60)
+    @given(contract_baths(), st.sampled_from(["time", "r0-sweep", "ratio"]),
+           st.floats(0.0, 3.0), st.floats(-4.0, 4.0), st.sampled_from(GAMMA_T),
+           st.floats(0.05, 4.0))
+    # phi_of_t and phi_inf once gave pi; ratio at gamma = 5e-324 once read 1.0;
+    # the oracle at gamma*h = 10 once returned sxx = -2.46e7
+    @example((1.0, 1.0, -0.5, -1e-300), "ratio", 1.0, 0.0, 1.0, 0.1)
+    @example((5e-324, 1.0, 0.0, 0.0), "ratio", 1.0, 0.0, 1.0, 0.1)
+    @example((10.0, 1.0, 0.0, 0.0), "r0-sweep", 0.0, 0.0, 30.0, 10.0)
+    def test_angles_tables_and_oracle(self, values, command, r, phi, gt, gamma_step):
+        # every table exits 0 with finite rows, or 2, and writes what it writes at gamma = 1
+        with tempfile.TemporaryDirectory() as tmp:
+            written = []
+            for gamma in (values[0], 1.0):
+                config = {"bath": dict(zip(("gamma", "N", "M1", "M2"), (gamma, *values[1:])))}
+                if command == "time":
+                    config["t_grid"] = [0.0, 0.5, 2.0]
+                path, out = Path(tmp, "config.json"), Path(tmp, f"{gamma!r}.csv")
+                path.write_text(json.dumps(config))
+                code = main(["evolve", command, "--config", str(path), "--out", str(out)])
+                assert code in (0, 2)
+                written.append(out.read_bytes() if code == 0 else code)
+            assert written[0] == written[1]
+            if code == 0:
+                rows = [line.split(",") for line in written[0].decode().splitlines()[1:]]
+                # the time table's first column is the input's label
+                cells = [v for row in rows for v in row[command == "time":]]
+                assert all(math.isfinite(float(v)) for v in cells)
+        try:
+            bath = BathParams(*values)
+        except UnphysicalBathError:
+            return
+        # every angle lies in [0, pi)
+        params = GaussianParams(r=r, phi=phi)
+        times = np.array([v / bath.gamma for v in GAMMA_T])       # inf, not a warning
+        for angle in (*phi_of_t(params, bath, times), *trajectory(params, bath, times).phis,
+                      phi_of_t(params, bath, gt / bath.gamma), channel_asymptote(bath).phi_inf):
+            assert 0.0 <= angle < math.pi
+        # the oracle returns a physical state, det >= 1/4 to the rounding of its entries,
+        # or raises ValueError
+        try:
+            cov = integrate_cov_ode(GaussianState.from_params(params), bath, gt / bath.gamma,
+                                    gamma_step / bath.gamma).cov
+        except ValueError:
+            return
+        scale = cov.sxx * cov.spp + cov.sxp * cov.sxp
+        assert cov.sxx > 0 and cov.spp > 0 and cov.det >= 0.25 * (1 - 1e-10) - 1e-12 * scale
+
+
 def test_public_surface():
     # a new public name is added here on purpose
     assert set(gausspurity.__all__) == {
-        "BathParams", "ChannelAsymptote", "CovMatrix", "CoverageError",
-        "DegenerateSampleError", "EstimationMethod", "ExperimentConfig",
+        "BathParams", "ChannelAsymptote", "CovMatrix", "DegenerateSampleError",
+        "EstimationMethod", "ExperimentConfig",
         "ExperimentReport", "GaussPurityError", "GaussianParams", "GaussianState",
         "HomodyneBatch", "InsufficientDataError", "MomentEstimate", "PhysicalityError",
         "PurityEstimate", "QSampleBatch", "SweepRow", "Trajectory",

@@ -7,7 +7,7 @@ degenerate-prone sample sizes), both error-scaling sweep methods
 (trials 1, 2 and 5), nonparametric `purity_from_q` and
 `estimate_purity_homodyne` intervals at five levels each, the sha256 of
 the files written by the CSV writers and `emit`, and the closed-form
-channel outputs: the rows of the three evolution runners, the nine
+channel outputs: the rows of the three evolution runners, the four
 columns of one `trajectory` (t = 0 and gamma*t = 1e-6 included) and
 scalar mu/r/phi(t).  Floats are compared exactly (NaN equal to NaN)
 together with the Python type of every value; JSON round-trips the repr
