@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields, replace
 
@@ -29,8 +28,7 @@ import numpy as np
 from . import __version__
 from .channel import BathParams
 from .errors import GaussPurityError
-from .estimation import (estimate_purity_homodyne, purity_from_q,
-                         THREE_QUADRATURE_PHASES)
+from .estimation import THREE_QUADRATURE_PHASES, estimate_purity_homodyne, purity_from_q
 from .experiments import ExperimentConfig, emit, run_experiment
 from .sampling import (QSampleBatch, read_homodyne_batches, sample_homodyne,
                        sample_q, write_homodyne_batches)
@@ -140,15 +138,9 @@ def _cmd_estimate(args) -> int:
                                  level=args.level, seed=args.seed)
     else:
         groups = read_homodyne_batches(args.input)
-        batches = []
-        for expected in THREE_QUADRATURE_PHASES:
-            match = [b for t, b in groups.items()
-                     if math.isclose(t, expected, abs_tol=1e-9)]
-            if not match:
-                raise ValueError(
-                    f"{args.input}: missing quadrature theta={expected}; the "
-                    "three-quadrature method needs theta = 0, pi/4, pi/2")
-            batches.append(match[0])
+        # the nearest phase to each; estimate_purity_homodyne checks it to within 1e-9
+        batches = [groups[min(groups, key=lambda t: abs(t - th))]
+                   for th in THREE_QUADRATURE_PHASES]
         estimate = estimate_purity_homodyne(*batches, resamples=args.resamples,
                                             level=args.level, seed=args.seed)
     text = estimate.to_json()

@@ -44,7 +44,6 @@ from .states import CovMatrix, GaussianState, _finite, _number, purity
 
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
-_BOOT_CHUNK_ELEMS = 2_000_000
 _BLOCK_ELEMS = 262_144      # values per row block of _resampled_covs
 _worker = threading.local()     # .z: _q_trial's (n, 2) scratch on this thread
 
@@ -128,7 +127,7 @@ def purity_from_moments(m: MomentEstimate) -> float:
 
 def _plug_in_purity(sxx: float, spp: float, sxp: float) -> float:
     det = sxx * spp - sxp * sxp
-    if sxx <= 0 or spp <= 0 or det <= 0:
+    if not (sxx > 0 and spp > 0 and det > 0):     # NaN fails too
         raise DegenerateSampleError(
             f"estimated covariance has non-positive determinant {det}; "
             "too few data for this state")
@@ -195,12 +194,6 @@ def _parametric_q(q_cov: np.ndarray, n: int, resamples: int,
                        b11 * b21 / (n - 1))
 
 
-def _chunk_sizes(resamples: int, n: int) -> list:
-    """Homodyne chunk sizes; they fix the draw order: chunk by chunk, phase 0, pi/4, pi/2."""
-    chunk = max(1, _BOOT_CHUNK_ELEMS // n)
-    return [min(chunk, resamples - start) for start in range(0, resamples, chunk)]
-
-
 def _check_bootstrap(resamples: int, level: float):
     """Reject, before any draw, what no bootstrap interval can come from."""
     if not _number(resamples, numbers.Integral):
@@ -211,6 +204,15 @@ def _check_bootstrap(resamples: int, level: float):
         raise ValueError(f"confidence level must be a real number, got {level!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+
+
+def _check_trials(trials: int, seed: int):
+    """Reject a Monte Carlo trial count or seed that is not an int, or is below 1 or 0."""
+    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
+        if not _number(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _bootstrap_estimate(point, mus, resamples, level, n, method, kind):
@@ -260,7 +262,7 @@ def _three_quadrature_bracket(var0, var45, var90):
 
 def _three_quadrature_purity(var0: float, var45: float, var90: float) -> float:
     bracket = _three_quadrature_bracket(var0, var45, var90)
-    if bracket <= 0:
+    if not bracket > 0:
         raise DegenerateSampleError(
             f"three-quadrature bracket is non-positive ({bracket}); "
             "the homodyne method is not statistically reliable here")
@@ -272,9 +274,9 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
                              level: float = 0.68, seed=0) -> PurityEstimate:
     """Three-quadrature purity estimate with a bootstrap percentile CI.
 
-    Each batch is resampled independently.  Degenerate bootstrap
-    resamples are dropped from the interval; a degenerate point estimate
-    propagates as an error.
+    Each batch is resampled in one pass of its own, phase 0, pi/4, pi/2 in
+    turn.  Degenerate resamples are dropped from the interval; a degenerate
+    point estimate propagates as an error.
     """
     for batch, expected in zip((b0, b45, b90), THREE_QUADRATURE_PHASES):
         if abs(batch.theta - expected) > 1e-9:
@@ -284,11 +286,10 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
     v0, v45, v90 = (float(np.var(b.values, ddof=1)) for b in (b0, b45, b90))
     point = purity_from_three_quadratures(v0, v45, v90)
     rng = make_rng(seed)
-    w0, w45, w90 = np.hstack([[_resampled_covs((b.values,), ((0, 0),), k, rng)[0]
-                               for b in (b0, b45, b90)]
-                              for k in _chunk_sizes(resamples, max(b0.n, b45.n, b90.n))])
-    bracket = _three_quadrature_bracket(w0, w45, w90)
-    mus = bracket[bracket > 0] ** -0.5
+    bracket = _three_quadrature_bracket(*(_resampled_covs((b.values,), ((0, 0),), resamples,
+                                                          rng)[0] for b in (b0, b45, b90)))
+    # libm pow, as the point takes it: numpy's array power may round otherwise
+    mus = np.array([b ** -0.5 for b in bracket[bracket > 0].tolist()])
     return _bootstrap_estimate(point, mus, resamples, level, b0.n + b45.n + b90.n,
                                EstimationMethod.THREE_QUADRATURE, "nonparametric")
 
@@ -313,8 +314,7 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     across-trial standard deviation of the relative error are reported.
     """
     n_grid = _check_grid("n_grid", n_grid, method)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials, seed)
     mu_true = purity(state.cov)
     trial = _q_trial if method == EstimationMethod.Q_JOINT else _three_quadrature_trial
     rows = []

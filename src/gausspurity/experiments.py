@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -23,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .channel import BathParams, GaussianParams, integrate_cov_ode, mu_of_t, trajectory
-from .estimation import (EstimationMethod, _check_bootstrap, _check_grid, _monte_carlo,
-                         _q_trial, _three_quadrature_trial)
-from .states import GaussianState, _number, purity
+from .estimation import (EstimationMethod, _check_bootstrap, _check_grid, _check_trials,
+                         _monte_carlo, _q_trial, _three_quadrature_trial)
+from .states import GaussianState, purity
 
 # Fig. 1/2 state: strongly squeezed thermal state with true purity 0.5.
 DEFAULT_STATE = GaussianParams(nbar=0.5, r=1.5, phi=0.0)
@@ -81,13 +80,7 @@ class ExperimentConfig:
             setattr(self, name, value)
         if "trials" not in spec.reads:
             return
-        for name in ("trials", "seed"):
-            if not _number(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_trials(self.trials, self.seed)
         _check_bootstrap(self.resamples, self.level)
 
     @classmethod

@@ -46,6 +46,8 @@ class QSampleBatch:
         pairs = np.atleast_2d(np.asarray(self.pairs, dtype=float))
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
             raise ValueError(f"pairs must have shape (n >= 1, 2), got {pairs.shape}")
+        if not np.isfinite(pairs).all():
+            raise ValueError("Q pairs must be finite")
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -77,6 +79,8 @@ class HomodyneBatch:
 
     def __post_init__(self):
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        if not (math.isfinite(self.theta) and np.isfinite(values).all()):
+            raise ValueError(f"homodyne theta and values must be finite, theta={self.theta}")
         if values.ndim != 1 or values.size < 2:
             raise ValueError(
                 f"need at least 2 homodyne values (variance must be estimable), "
@@ -128,6 +132,10 @@ def _read_csv(path, header: str) -> np.ndarray:
     with open(path) as fh:
         if (found := fh.readline().rstrip("\n")) != header:
             raise ValueError(f"{path}: expected CSV header {header!r}, found {found!r}")
+        start = fh.tell()
+        if not fh.readline().strip():       # else loadtxt warns on stderr, returns no rows
+            raise ValueError(f"{path}: no data rows after the CSV header {header!r}")
+        fh.seek(start)
         return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 

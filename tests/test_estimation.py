@@ -184,6 +184,12 @@ class TestThreeQuadratureFormula:
         with pytest.raises(DegenerateSampleError):
             purity_from_three_quadratures(0.5, 10.0, 0.5)
 
+    def test_nan_is_degenerate_not_returned(self):
+        with pytest.raises(DegenerateSampleError):
+            purity_from_three_quadratures(math.nan, 1.0, 1.0)
+        with pytest.raises(DegenerateSampleError):
+            purity_from_moments(MomentEstimate(0.0, 0.0, math.nan, 1.0, 0.0))
+
 
 class TestScalarAndResampledFormulas:
     """A point estimate and its bootstrap resamples go through the same formula.
@@ -207,6 +213,19 @@ class TestScalarAndResampledFormulas:
         scalar = [estimation._three_quadrature_bracket(*v)
                   for v in zip(v0.tolist(), v45.tolist(), v90.tolist())]
         assert scalar == estimation._three_quadrature_bracket(v0, v45, v90).tolist()
+
+    def test_point_and_resample_take_the_same_root(self, monkeypatch):
+        batches = [sample_homodyne(SQUEEZED, th, 50, seed=255 + i)
+                   for i, th in enumerate(PHASES)]
+        bracket = estimation._three_quadrature_bracket(
+            *(float(np.var(b.values, ddof=1)) for b in batches))
+        # numpy's array power takes this bracket's -1/2 power an ulp off libm pow
+        assert (np.full(400, bracket) ** -0.5)[0] != bracket ** -0.5
+        # every resample then has the point's variances, and so its bracket
+        monkeypatch.setattr(estimation, "_resampled_covs", lambda cols, products, k, rng:
+                            np.full((1, k), float(np.var(cols[0], ddof=1))))
+        est = estimate_purity_homodyne(*batches, resamples=400, seed=0)
+        assert est.ci_low == est.mu_hat == est.ci_high
 
 
 class TestEstimatePurityHomodyne:
@@ -334,20 +353,22 @@ class TestNonparametricResampling:
         assert got.tobytes() == expected.tobytes()
 
     def test_homodyne_bits_do_not_depend_on_the_block(self, block):
-        # unequal phase sizes; one chunk, phases drawn in the order 0, pi/4, pi/2
-        batches = [sample_homodyne(SQUEEZED, th, m, seed=83 + i)
-                   for i, (th, m) in enumerate(zip(PHASES, (2000, 2001, 1999)))]
-        rng = estimation.make_rng(84)
-        w0, w45, w90 = (_one_shot_covs(b.values, rng.integers(0, b.n, size=(self.B, b.n)))
-                        for b in batches)
-        bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
-        mus = bracket[bracket > 0] ** -0.5
-        # the levels as the library forms them: 0.15999999999999998, 0.8400000000000001
-        lo, hi = np.quantile(mus, [(1.0 - 0.68) / 2.0, (1.0 + 0.68) / 2.0])
-        est = estimate_purity_homodyne(*batches, resamples=self.B, seed=84)
-        assert (est.ci_low, est.ci_high) == (min(float(lo), est.mu_hat),
-                                             max(float(hi), est.mu_hat))
-        assert est.resamples_used == mus.size
+        # unequal phase sizes, phases drawn in the order 0, pi/4, pi/2; at about
+        # 60,000 values per phase n * B passes 2e6, where draws were once split
+        for i, sizes in enumerate([(2000, 2001, 1999), (60_000, 60_001, 59_999)]):
+            batches = [sample_homodyne(SQUEEZED, th, m, seed=83 + 3 * i + j)
+                       for j, (th, m) in enumerate(zip(PHASES, sizes))]
+            rng = estimation.make_rng(84)
+            w0, w45, w90 = (_one_shot_covs(b.values, rng.integers(0, b.n, size=(self.B, b.n)))
+                            for b in batches)
+            bracket = 4.0 * w45 * (w0 + w90 - w45) - (w0 - w90) ** 2
+            mus = np.array([b ** -0.5 for b in bracket[bracket > 0].tolist()])
+            # the levels as the library forms them: 0.15999999999999998, 0.8400000000000001
+            lo, hi = np.quantile(mus, [(1.0 - 0.68) / 2.0, (1.0 + 0.68) / 2.0])
+            est = estimate_purity_homodyne(*batches, resamples=self.B, seed=84)
+            assert (est.ci_low, est.ci_high) == (min(float(lo), est.mu_hat),
+                                                 max(float(hi), est.mu_hat))
+            assert est.resamples_used == mus.size
 
     @pytest.mark.parametrize("call", ["purity_from_q", "estimate_purity_homodyne"])
     def test_peak_memory_is_bounded(self, call):
@@ -411,6 +432,26 @@ class TestErrorScalingSweep:
         monkeypatch.setattr(estimation, "_monte_carlo", no_draws)
         with pytest.raises(ValueError, match=">= 2"):
             error_scaling_sweep(SQUEEZED, method, n_grid, trials=2, seed=0)
+
+    @pytest.mark.parametrize("trials, seed, message", [
+        (True, 0, "trials must be an integer, got True"),
+        (2.5, 0, "trials must be an integer, got 2.5"),
+        (0, 0, "trials must be >= 1, got 0"),
+        (2, 1.5, "seed must be an integer, got 1.5"),
+        (2, -1, "seed must be >= 0, got -1")],
+        ids=["trials-bool", "trials-float", "trials-0", "seed-float", "seed-negative"])
+    def test_trials_and_seed_are_checked_as_a_config_checks_them(self, trials, seed,
+                                                                 message, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew trials for a rejected trial count or seed")
+
+        monkeypatch.setattr(estimation, "_monte_carlo", no_draws)
+        for call in (lambda: error_scaling_sweep(SQUEEZED, EstimationMethod.Q_JOINT, [30],
+                                                 trials=trials, seed=seed),
+                     lambda: ExperimentConfig("fig_varnx", trials=trials, seed=seed)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def _records_trial(state, n, rng):

@@ -596,6 +596,26 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "theta" in err["message"]
 
+    @pytest.mark.filterwarnings("error")    # a warning would be a second line on stderr
+    @pytest.mark.parametrize("method, text, message", [
+        ("q", "x,p\n", "no data rows after the CSV header 'x,p'"),
+        ("three-quadrature", "theta,value\n",
+         "no data rows after the CSV header 'theta,value'"),
+        ("q", "x,p\n0.1,0.2\nnan,0.3\n0.4,0.5\n", "Q pairs must be finite"),
+        ("three-quadrature",
+         "".join(["theta,value\n"] + [f"{th!r},{v}\n"
+                                        for th in (0.0, math.pi / 4, math.pi / 2)
+                                        for v in (0.1, "inf" if th else -0.2, 0.3)]),
+         "homodyne theta and values must be finite, theta=0.7853981633974483")],
+        ids=["q-header-only", "homodyne-header-only", "q-nan", "homodyne-inf"])
+    def test_unusable_record_is_one_json_line(self, tmp_path, capsys, method, text, message):
+        data = tmp_path / "record.csv"
+        data.write_text(text)
+        assert main(["estimate", "--method", method, "--input", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["message"].endswith(message)
+
     @pytest.mark.parametrize("sample, method, expected, found", [
         (["--kind", "homodyne", "--theta", "0", "--theta", "3"], "q",
          "x,p", "theta,value"),

@@ -88,7 +88,7 @@ def _q_ci(level=0.68):
 
 
 def _homodyne_ci(level=0.68):
-    # 10000 values per phase make the bootstrap run in two chunks
+    # 10000 values per phase put the B = 250 resamples of each in 10 row blocks of at most 26
     batches = [sample_homodyne(_state(), th, 10_000, seed=20 + i)
                for i, th in enumerate((0.0, math.pi / 4, math.pi / 2))]
     pe = estimate_purity_homodyne(*batches, resamples=250, level=level, seed=13)
