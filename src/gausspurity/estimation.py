@@ -45,6 +45,7 @@ from .states import CovMatrix, GaussianState, _finite, _number, purity
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 _BLOCK_ELEMS = 262_144      # values per row block of _resampled_covs
+_SUM_ROWS = 4096            # rows per block of _cov_in_place's running sum
 _worker = threading.local()     # .z: _q_trial's (n, 2) scratch on this thread
 
 
@@ -110,8 +111,21 @@ def _q_cov(batch: QSampleBatch) -> np.ndarray:
 
 
 def _cov_in_place(z: np.ndarray) -> np.ndarray:
-    """np.cov(z, rowvar=False) of (n, 2) pairs by its own steps and bits; centres z."""
-    z -= z.T.mean(axis=1)
+    """np.cov(z, rowvar=False) of (n, 2) pairs by its own steps and bits; centres z.
+    A C-ordered z's rows are added in np.cov's order, one after another, by a running
+    sum over row blocks, not by numpy's loop of one two-value row per step."""
+    if z.flags.c_contiguous:
+        run = np.zeros((min(len(z), _SUM_ROWS) + 1, 2))    # row 0: the sum so far
+        for block in np.split(z, range(_SUM_ROWS, len(z), _SUM_ROWS)):
+            part = run[:len(block) + 1]
+            part[1:] = block
+            np.cumsum(part, axis=0, out=part)
+            run[0] = part[-1]
+        mean = run[0] / len(z)
+    else:       # an F-ordered z.T is contiguous, and numpy's mean of it pairwise
+        mean = z.T.mean(axis=1)
+    for col, m in zip(z.T, mean):
+        col -= m
     return np.dot(z.T, z) * (1 / (len(z) - 1))
 
 

@@ -19,11 +19,12 @@ seeds is schedule-independent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState
+from .states import GaussianState, _finite, _number
 
 CSV_Q_HEADER = "x,p"
 CSV_HOMODYNE_HEADER = "theta,value"
@@ -150,21 +151,22 @@ def _q_covariance(state: GaussianState) -> np.ndarray:
 
 def sample_q(state: GaussianState, n: int, seed) -> QSampleBatch:
     """Draw n joint-quadrature pairs from the Q-function of the state."""
+    if not _number(n, numbers.Integral) or n < 1:
+        raise ValueError(f"Q-sample count n must be an integer >= 1, got {n!r}")
     return QSampleBatch(pairs=_q_pairs(state, n, make_rng(seed)))
 
 
 def _q_pairs(state: GaussianState, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
     """n Q-pairs mean + z chol^T, drawn into out (a new (n, 2) array if None) in place."""
     state.cov.require_physical()
-    if n < 1:
-        raise ValueError(f"need n >= 1 Q-samples, got {n}")
     chol = np.linalg.cholesky(_q_covariance(state))
     z = rng.standard_normal((n, 2), out=out)
     # small overlap copies, same bits; no block of one row, which numpy
     # multiplies by another kernel with other roundings
     for block in np.split(z, range(4096, n - 1, 4096)):
         np.matmul(block, chol.T, out=block)
-    z += state.mean
+    for col, m in zip(z.T, state.mean):     # per column: same bits, no per-row loop
+        col += m
     return z
 
 
@@ -176,6 +178,8 @@ def homodyne_variance(state: GaussianState, theta: float) -> float:
     convention used throughout, the squeezed principal axis of a state
     with angle phi sits at quadrature phase -phi.
     """
+    if not _finite(theta):
+        raise ValueError(f"homodyne theta must be finite, got theta={theta}")
     return _homodyne_variance(state.cov, theta)
 
 
@@ -197,8 +201,8 @@ def homodyne_mean(state: GaussianState, theta: float) -> float:
 def sample_homodyne(state: GaussianState, theta: float, n: int, seed) -> HomodyneBatch:
     """Draw n balanced-homodyne outcomes of the quadrature x_theta."""
     state.cov.require_physical()
-    if n < 2:
-        raise ValueError(f"need n >= 2 homodyne samples, got {n}")
+    if not _number(n, numbers.Integral) or n < 2:
+        raise ValueError(f"homodyne sample count n must be an integer >= 2, got {n!r}")
     rng = make_rng(seed)
     sd = math.sqrt(homodyne_variance(state, theta))
     values = homodyne_mean(state, theta) + sd * rng.standard_normal(n)

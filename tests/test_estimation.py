@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gausspurity
 import gausspurity.estimation as estimation
@@ -627,6 +629,40 @@ class TestQTrial:
         with pytest.raises(PhysicalityError):
             _q_trial(GaussianState(cov=CovMatrix(sxx=0.4, spp=0.4)), 10,
                      np.random.Generator(np.random.Philox(0)))
+
+
+def _offset_pairs(n, order, seed):
+    """(n, 2) pairs 1e6 + 1e-3 N(0, 1): at this offset the order of a sum shows in its bits."""
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    return np.asarray(1e6 + 1e-3 * z, order=order)
+
+
+def _around_block_ends(test):
+    """Examples at both sides of the first two 4096-row block ends, in both layouts."""
+    for n in (4095, 4096, 4097, 8191, 8192, 8193):
+        for order in "CF":
+            test = example(n=n, order=order, seed=n)(test)
+    return test
+
+
+class TestRowOrderCovariance:
+    @settings(max_examples=60)
+    @given(n=st.integers(2, 3 * 4096 + 1), order=st.sampled_from("CF"),
+           seed=st.integers(0, 2**32 - 1))
+    @_around_block_ends
+    def test_bits_of_np_cov(self, n, order, seed):
+        a = _offset_pairs(n, order, seed)
+        assert _cov_in_place(np.array(a)).tobytes() == np.cov(a, rowvar=False).tobytes()
+
+    def test_row_order_is_not_the_pairwise_sum(self):
+        # np.cov sums a C-ordered record row after row; a pairwise mean
+        # rounds otherwise here, so it would fail test_bits_of_np_cov
+        a = _offset_pairs(8193, "C", 8193)
+        pairwise = np.ascontiguousarray(a.T).mean(axis=1)
+        assert a.T.mean(axis=1).tobytes() != pairwise.tobytes()
+        centred = a - pairwise
+        shortcut = np.dot(centred.T, centred) * (1 / 8192)
+        assert shortcut.tobytes() != np.cov(a, rowvar=False).tobytes()
 
 
 def _cores(monkeypatch, count):

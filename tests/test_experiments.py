@@ -654,8 +654,10 @@ class TestCli:
          "bath parameters must be finite, got BathParams(gamma=1.0, N=inf, M1=0.0, M2=0.0)"),
         (["evolve", "ratio", "--bath-n", "1e200"], "UnphysicalBathError",
          "bath parameters overflow det sigma_inf, got "
-         "BathParams(gamma=1.0, N=1e+200, M1=0.0, M2=0.0)")],
-        ids=["r400", "nbar-nan", "bath-n-nan", "bath-n-inf", "bath-n-1e200"])
+         "BathParams(gamma=1.0, N=1e+200, M1=0.0, M2=0.0)"),
+        (["sample", "--kind", "homodyne", "--n", "10", "--theta", "inf"], "ValueError",
+         "homodyne theta must be finite, got theta=inf")],
+        ids=["r400", "nbar-nan", "bath-n-nan", "bath-n-inf", "bath-n-1e200", "theta-inf"])
     def test_non_finite_or_overflowing_input_is_json_error(self, tmp_path, capsys,
                                                            argv, error, message):
         out = tmp_path / "out.csv"

@@ -93,6 +93,24 @@ class TestHomodyneSampling:
         with pytest.raises(ValueError):
             sample_homodyne(SQUEEZED, 0.0, 1, seed=0)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_theta(self, theta):
+        # unchecked, inf reaches math.cos, whose "math domain error" names no input
+        with pytest.raises(ValueError, match="homodyne theta must be finite"):
+            homodyne_variance(SQUEEZED, theta)
+        with pytest.raises(ValueError, match="homodyne theta must be finite"):
+            sample_homodyne(SQUEEZED, theta, 10, seed=0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda n: sample_q(SQUEEZED, n, seed=0),
+    lambda n: sample_homodyne(SQUEEZED, 0.0, n, seed=0)], ids=["q", "homodyne"])
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, "3"], ids=repr)
+def test_sample_count_must_be_an_integer(draw, n):
+    with pytest.raises(ValueError, match="sample count n must be an integer"):
+        draw(n)
+    assert draw(np.int64(3)).n == 3
+
 
 class TestVarianceFormulas:
     def test_homodyne_matches_phenomenological_form(self, rng):
