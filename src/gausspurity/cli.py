@@ -23,14 +23,12 @@ import json
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import __version__
 from .channel import BathParams
 from .errors import GaussPurityError
 from .estimation import THREE_QUADRATURE_PHASES, estimate_purity_homodyne, purity_from_q
 from .experiments import ExperimentConfig, emit, run_experiment
-from .sampling import (QSampleBatch, read_homodyne_batches, sample_homodyne,
+from .sampling import (QSampleBatch, make_rng, read_homodyne_batches, sample_homodyne,
                        sample_q, write_homodyne_batches)
 from .states import GaussianParams, GaussianState
 
@@ -123,8 +121,8 @@ def _cmd_sample(args) -> int:
         sample_q(state, args.n, args.seed).to_csv(args.out)
     else:
         thetas = args.theta if args.theta else list(THREE_QUADRATURE_PHASES)
-        # one independent Philox stream per phase, spawned from the seed
-        children = np.random.SeedSequence(args.seed).spawn(len(thetas))
+        # one independent Philox stream per phase, spawned from the checked seed
+        children = make_rng(args.seed).spawn(len(thetas))
         batches = [sample_homodyne(state, th, args.n, child)
                    for th, child in zip(thetas, children)]
         write_homodyne_batches(batches, args.out)

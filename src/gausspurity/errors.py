@@ -16,8 +16,8 @@ class InsufficientDataError(GaussPurityError, ValueError):
 class DegenerateSampleError(GaussPurityError, ValueError):
     """Estimated second moments are incompatible with any physical state.
 
-    Raised when the vacuum-corrected sample covariance has non-positive
-    determinant, or when the three-quadrature bracket is non-positive.
+    Raised when the vacuum-corrected sample covariance is not positive
+    definite, or when the three-quadrature bracket is non-positive.
     This is a finite-sample artifact and signals that more data are
     needed for the state at hand; it is deliberately not clamped.
     """

@@ -20,16 +20,16 @@ A simulated three-quadrature trial draws each sample variance from its
 chi-square law, not from records (sample_homodyne stays for the CLI and for
 callers that want records).  Monte Carlo trials run on min(cores, trials)
 threads, each Q trial in its thread's one reused (n, 2) buffer, and no
-result depends on the thread count.  Degenerate point estimates -- negative
-determinant or non-positive bracket -- raise DegenerateSampleError instead
-of being clamped: small-n unreliability is real.
+result depends on the thread count.  Each method has one purity rule, shared
+by the point estimate and its resamples, which gives NaN where the moments
+are unphysical: the point then raises DegenerateSampleError instead of being
+clamped (small-n unreliability is real), and the interval drops the resample.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import threading
 from collections.abc import Iterable
@@ -39,14 +39,19 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
-from .sampling import HomodyneBatch, QSampleBatch, _homodyne_variance, _q_pairs, make_rng
-from .states import CovMatrix, GaussianState, _finite, _number, purity
+from .sampling import (HomodyneBatch, QSampleBatch, _check_integer, _homodyne_variance,
+                       _q_pairs, make_rng)
+from .states import GaussianState, _finite, _number, purity
 
 THREE_QUADRATURE_PHASES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 _BLOCK_ELEMS = 262_144      # values per row block of _resampled_covs
 _SUM_ROWS = 4096            # rows per block of _cov_in_place's running sum
 _worker = threading.local()     # .z: _q_trial's (n, 2) scratch on this thread
+_NOT_POSITIVE_DEFINITE = ("estimated covariance is not positive definite; "
+                          "too few data for this state")
+_NON_POSITIVE_BRACKET = ("three-quadrature bracket is non-positive; "
+                         "the homodyne method is not statistically reliable here")
 
 
 class EstimationMethod(str, Enum):
@@ -63,10 +68,6 @@ class MomentEstimate:
     sxx_hat: float
     spp_hat: float
     sxp_hat: float
-
-    @property
-    def cov(self) -> CovMatrix:
-        return CovMatrix(sxx=self.sxx_hat, spp=self.spp_hat, sxp=self.sxp_hat)
 
 
 @dataclass(frozen=True)
@@ -131,28 +132,25 @@ def _cov_in_place(z: np.ndarray) -> np.ndarray:
 
 def _q_purity(c: np.ndarray) -> float:
     """Plug-in purity of a fitted Q covariance, the vacuum half taken off its diagonal."""
-    return _plug_in_purity(float(c[0, 0]) - 0.5, float(c[1, 1]) - 0.5, float(c[0, 1]))
+    return _point(_q_purities(c[0, 0] - 0.5, c[1, 1] - 0.5, c[0, 1]), _NOT_POSITIVE_DEFINITE)
 
 
 def purity_from_moments(m: MomentEstimate) -> float:
     """Plug-in purity from estimated moments; exact on analytic input."""
-    return _plug_in_purity(m.sxx_hat, m.spp_hat, m.sxp_hat)
+    return _point(_q_purities(m.sxx_hat, m.spp_hat, m.sxp_hat), _NOT_POSITIVE_DEFINITE)
 
 
-def _plug_in_purity(sxx: float, spp: float, sxp: float) -> float:
+def _q_purities(sxx, spp, sxp):
+    """0.5/sqrt(det) of vacuum-corrected moments, floats or arrays; NaN where unphysical."""
     det = sxx * spp - sxp * sxp
-    if not (sxx > 0 and spp > 0 and det > 0):     # NaN fails too
-        raise DegenerateSampleError(
-            f"estimated covariance has non-positive determinant {det}; "
-            "too few data for this state")
-    return 1.0 / (2.0 * math.sqrt(det))
+    return 0.5 / np.sqrt(np.where((sxx > 0) & (spp > 0) & (det > 0), det, np.nan))
 
 
-def _q_purities(sxx, spp, sxp) -> np.ndarray:
-    """0.5/sqrt(det) of vacuum-corrected resampled moments; unphysical ones dropped."""
-    det = sxx * spp - sxp * sxp
-    ok = (sxx > 0) & (spp > 0) & (det > 0)
-    return 0.5 / np.sqrt(det[ok])
+def _point(mu, why: str) -> float:
+    """A point estimate mu as a float; DegenerateSampleError(why) where it is NaN."""
+    if math.isnan(mu):
+        raise DegenerateSampleError(why)
+    return float(mu)
 
 
 def _resampled_covs(cols, products, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -180,7 +178,7 @@ def _resampled_covs(cols, products, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _bootstrap_q(pairs: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
-    """Purity of bootstrap resamples of a Q-batch; degenerate ones dropped."""
+    """Purity of bootstrap resamples of a Q-batch; NaN where degenerate."""
     # contiguous copies, not strided column views, halve what the random reads span
     sxx, spp, sxp = _resampled_covs(np.ascontiguousarray(pairs.T),
                                     ((0, 0), (1, 1), (0, 1)), resamples, rng)
@@ -195,7 +193,7 @@ def _parametric_q(q_cov: np.ndarray, n: int, resamples: int,
     n-1 degrees of freedom and scale C, the fitted Q covariance.  Bartlett's
     decomposition draws it as L A A^T L^T, with L the Cholesky factor of C
     and A lower triangular: a11 = sqrt(chi2_{n-1}), a22 = sqrt(chi2_{n-2}),
-    a21 ~ N(0, 1).  Degenerate resamples are dropped.
+    a21 ~ N(0, 1).  Degenerate resamples give NaN.
     """
     (l11, _), (l21, l22) = np.linalg.cholesky(q_cov)
     a11 = np.sqrt(rng.chisquare(n - 1, resamples))
@@ -210,27 +208,16 @@ def _parametric_q(q_cov: np.ndarray, n: int, resamples: int,
 
 def _check_bootstrap(resamples: int, level: float):
     """Reject, before any draw, what no bootstrap interval can come from."""
-    if not _number(resamples, numbers.Integral):
-        raise ValueError(f"resamples must be an integer, got {resamples!r}")
-    if resamples < 2:
-        raise ValueError(f"resamples must be >= 2, got {resamples}")
+    _check_integer("resamples", resamples, 2)
     if not _number(level):
         raise ValueError(f"confidence level must be a real number, got {level!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
 
 
-def _check_trials(trials: int, seed: int):
-    """Reject a Monte Carlo trial count or seed that is not an int, or is below 1 or 0."""
-    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
-        if not _number(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
 def _bootstrap_estimate(point, mus, resamples, level, n, method, kind):
-    """The point with the percentile interval of the physical resamples of a kind around it."""
+    """The point with the percentile interval of the physical (not NaN) resamples of a kind."""
+    mus = mus[~np.isnan(mus)]
     if mus.size < max(2, resamples // 2):
         raise DegenerateSampleError(
             f"only {mus.size}/{resamples} bootstrap resamples were physical")
@@ -249,8 +236,9 @@ def purity_from_q(batch: QSampleBatch, resamples: int = 400,
     if batch.n < 3:
         raise InsufficientDataError(f"need at least 3 Q-samples, got {batch.n}")
     _check_bootstrap(resamples, level)
+    rng = make_rng(seed)
     point = _q_purity(_q_cov(batch))
-    return _bootstrap_estimate(point, _bootstrap_q(batch.pairs, resamples, make_rng(seed)),
+    return _bootstrap_estimate(point, _bootstrap_q(batch.pairs, resamples, rng),
                                resamples, level, batch.n, EstimationMethod.Q_JOINT,
                                "nonparametric")
 
@@ -261,26 +249,15 @@ def purity_from_three_quadratures(var0: float, var45: float, var90: float) -> fl
     Exact when fed analytic variances; with sample variances the bracket
     can go non-positive, which raises DegenerateSampleError.
     """
-    return _three_quadrature_purity(var0, var45, var90)
-
-
-def _three_quadrature_bracket(var0, var45, var90):
-    """1/mu^2 from the three variances, as floats or as arrays, to the same bits.
-
-    diff * diff, not diff ** 2: on a float, ** calls libm pow, which may round
-    otherwise than the product numpy takes for an array.
-    """
-    diff = var0 - var90
-    return 4.0 * var45 * (var0 + var90 - var45) - diff * diff
+    return _point(_three_quadrature_purity(var0, var45, var90), _NON_POSITIVE_BRACKET)
 
 
 def _three_quadrature_purity(var0: float, var45: float, var90: float) -> float:
-    bracket = _three_quadrature_bracket(var0, var45, var90)
-    if not bracket > 0:
-        raise DegenerateSampleError(
-            f"three-quadrature bracket is non-positive ({bracket}); "
-            "the homodyne method is not statistically reliable here")
-    return bracket**-0.5
+    """bracket^(-1/2) of three float variances by libm pow; NaN where bracket <= 0.
+    diff * diff, not diff ** 2, which would call libm pow and may round otherwise."""
+    diff = var0 - var90
+    bracket = 4.0 * var45 * (var0 + var90 - var45) - diff * diff
+    return bracket ** -0.5 if bracket > 0 else math.nan
 
 
 def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
@@ -297,13 +274,13 @@ def estimate_purity_homodyne(b0: HomodyneBatch, b45: HomodyneBatch,
             raise ValueError(f"quadrature phase mismatch: expected theta={expected}, "
                              f"got {batch.theta}")
     _check_bootstrap(resamples, level)
+    rng = make_rng(seed)
     v0, v45, v90 = (float(np.var(b.values, ddof=1)) for b in (b0, b45, b90))
     point = purity_from_three_quadratures(v0, v45, v90)
-    rng = make_rng(seed)
-    bracket = _three_quadrature_bracket(*(_resampled_covs((b.values,), ((0, 0),), resamples,
-                                                          rng)[0] for b in (b0, b45, b90)))
-    # libm pow, as the point takes it: numpy's array power may round otherwise
-    mus = np.array([b ** -0.5 for b in bracket[bracket > 0].tolist()])
+    # on floats, as the point: numpy's array power may round otherwise than libm pow
+    mus = np.array(list(map(_three_quadrature_purity, *(
+        _resampled_covs((b.values,), ((0, 0),), resamples, rng)[0].tolist()
+        for b in (b0, b45, b90)))))
     return _bootstrap_estimate(point, mus, resamples, level, b0.n + b45.n + b90.n,
                                EstimationMethod.THREE_QUADRATURE, "nonparametric")
 
@@ -328,7 +305,8 @@ def error_scaling_sweep(state: GaussianState, method: EstimationMethod,
     across-trial standard deviation of the relative error are reported.
     """
     n_grid = _check_grid("n_grid", n_grid, method)
-    _check_trials(trials, seed)
+    _check_integer("trials", trials, 1)
+    _check_integer("seed", seed, 0)
     mu_true = purity(state.cov)
     trial = _q_trial if method == EstimationMethod.Q_JOINT else _three_quadrature_trial
     rows = []
@@ -394,7 +372,7 @@ def _three_quadrature_trial(state: GaussianState, n: int, rng: np.random.Generat
     m = n // 3
     v = [_homodyne_variance(state.cov, th) * rng.chisquare(m - 1) / (m - 1)
          for th in THREE_QUADRATURE_PHASES]
-    return _three_quadrature_purity(*v), (math.nan, math.nan)
+    return _point(_three_quadrature_purity(*v), _NON_POSITIVE_BRACKET), (math.nan, math.nan)
 
 
 def _monte_carlo(points, trials: int, seed, trial) -> list:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .channel import BathParams, GaussianParams, integrate_cov_ode, mu_of_t, trajectory
-from .estimation import (EstimationMethod, _check_bootstrap, _check_grid, _check_trials,
+from .estimation import (EstimationMethod, _check_bootstrap, _check_grid, _check_integer,
                          _monte_carlo, _q_trial, _three_quadrature_trial)
 from .states import GaussianState, purity
 
@@ -80,7 +80,8 @@ class ExperimentConfig:
             setattr(self, name, value)
         if "trials" not in spec.reads:
             return
-        _check_trials(self.trials, self.seed)
+        _check_integer("trials", self.trials, 1)
+        _check_integer("seed", self.seed, 0)
         _check_bootstrap(self.resamples, self.level)
 
     @classmethod

@@ -31,10 +31,20 @@ CSV_HOMODYNE_HEADER = "theta,value"
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Generator from a 64-bit seed or a SeedSequence; passes a Generator through."""
+    """Philox Generator from an integer seed >= 0 or a SeedSequence; a Generator passes."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_integer("seed", seed, 0)
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _check_integer(name: str, value, low: int):
+    """Reject a value that is not an integer (a bool is not one) or is below low."""
+    if not _number(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +161,7 @@ def _q_covariance(state: GaussianState) -> np.ndarray:
 
 def sample_q(state: GaussianState, n: int, seed) -> QSampleBatch:
     """Draw n joint-quadrature pairs from the Q-function of the state."""
-    if not _number(n, numbers.Integral) or n < 1:
-        raise ValueError(f"Q-sample count n must be an integer >= 1, got {n!r}")
+    _check_integer("Q-sample count n", n, 1)
     return QSampleBatch(pairs=_q_pairs(state, n, make_rng(seed)))
 
 
@@ -193,17 +202,12 @@ def _homodyne_variance(cov, theta: float) -> float:
     return var if var >= var_v else (cov.det + cross * cross) / var_v
 
 
-def homodyne_mean(state: GaussianState, theta: float) -> float:
-    """Center x0*cos(theta) + p0*sin(theta) of the x_theta distribution."""
-    return state.x0 * math.cos(theta) + state.p0 * math.sin(theta)
-
-
 def sample_homodyne(state: GaussianState, theta: float, n: int, seed) -> HomodyneBatch:
     """Draw n balanced-homodyne outcomes of the quadrature x_theta."""
     state.cov.require_physical()
-    if not _number(n, numbers.Integral) or n < 2:
-        raise ValueError(f"homodyne sample count n must be an integer >= 2, got {n!r}")
+    _check_integer("homodyne sample count n", n, 2)
     rng = make_rng(seed)
-    sd = math.sqrt(homodyne_variance(state, theta))
-    values = homodyne_mean(state, theta) + sd * rng.standard_normal(n)
+    sd = math.sqrt(homodyne_variance(state, theta))     # checks theta
+    values = (state.x0 * math.cos(theta) + state.p0 * math.sin(theta)
+              + sd * rng.standard_normal(n))
     return HomodyneBatch(theta=theta, values=values)

@@ -24,6 +24,7 @@ from gausspurity import (CovMatrix, DegenerateSampleError, EstimationMethod,
                          moments_from_q, purity, purity_from_moments,
                          purity_from_q, purity_from_three_quadratures,
                          sample_homodyne, sample_q)
+from gausspurity.cli import main
 from gausspurity.estimation import (_cov_in_place, _monte_carlo, _q_trial,
                                     _three_quadrature_trial)
 from gausspurity.experiments import ExperimentConfig, run_experiment
@@ -194,33 +195,35 @@ class TestThreeQuadratureFormula:
 
 
 class TestScalarAndResampledFormulas:
-    """A point estimate and its bootstrap resamples go through the same formula.
-
-    The scalar forms once squared with **, which on a float calls libm pow;
-    about 1 float in 1,200 then rounds otherwise than the product numpy takes
-    for an array, so 10^4 random inputs hold several such cases.
-    """
+    """A point estimate and its bootstrap resamples go through one purity rule per method,
+    which gives NaN where the moments are unphysical; the point raises there instead."""
 
     def test_q_purity(self):
         rng = np.random.default_rng(5)
-        sxx, spp = rng.uniform(0.5, 2.0, (2, 10_000))
-        sxp = rng.uniform(-0.4, 0.4, 10_000)
-        scalar = [estimation._plug_in_purity(a, b, c)
-                  for a, b, c in zip(sxx.tolist(), spp.tolist(), sxp.tolist())]
-        assert scalar == estimation._q_purities(sxx, spp, sxp).tolist()
+        sxx, spp = rng.uniform(-0.2, 2.0, (2, 10_000))
+        sxp = rng.uniform(-1.0, 1.0, 10_000)
+        sxx[::1000], spp[1::1000], sxp[2::1000] = np.nan, np.nan, np.nan
+        # both diagonal entries negative with det > 0, det = 0 and a zero entry
+        unphysical = [(-1.0, -1.0, 0.5), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
+        sxx, spp, sxp = (np.append(v, u) for v, u in zip((sxx, spp, sxp), zip(*unphysical)))
 
-    def test_three_quadrature_bracket(self):
-        rng = np.random.default_rng(6)
-        v0, v45, v90 = rng.uniform(0.5, 2.0, (3, 10_000))
-        scalar = [estimation._three_quadrature_bracket(*v)
-                  for v in zip(v0.tolist(), v45.tolist(), v90.tolist())]
-        assert scalar == estimation._three_quadrature_bracket(v0, v45, v90).tolist()
+        def point(a, b, c):
+            try:
+                return purity_from_moments(MomentEstimate(0.0, 0.0, a, b, c))
+            except DegenerateSampleError:
+                return None
+
+        points = [point(*m) for m in zip(sxx.tolist(), spp.tolist(), sxp.tolist())]
+        resampled = estimation._q_purities(sxx, spp, sxp).tolist()
+        assert points == [None if math.isnan(mu) else mu for mu in resampled]
+        assert points[-4:] == [None] * 4 and 1_000 < points.count(None) < 5_000
 
     def test_point_and_resample_take_the_same_root(self, monkeypatch):
         batches = [sample_homodyne(SQUEEZED, th, 50, seed=255 + i)
                    for i, th in enumerate(PHASES)]
-        bracket = estimation._three_quadrature_bracket(
-            *(float(np.var(b.values, ddof=1)) for b in batches))
+        v0, v45, v90 = (float(np.var(b.values, ddof=1)) for b in batches)
+        diff = v0 - v90
+        bracket = 4.0 * v45 * (v0 + v90 - v45) - diff * diff
         # numpy's array power takes this bracket's -1/2 power an ulp off libm pow
         assert (np.full(400, bracket) ** -0.5)[0] != bracket ** -0.5
         # every resample then has the point's variances, and so its bracket
@@ -454,6 +457,39 @@ class TestErrorScalingSweep:
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: sample_q(SQUEEZED, 10, seed),
+    lambda seed: sample_homodyne(SQUEEZED, 0.0, 10, seed),
+    lambda seed: purity_from_q(sample_q(GaussianState.vacuum(), 200, 0), resamples=20,
+                               seed=seed),
+    lambda seed: estimate_purity_homodyne(
+        *(sample_homodyne(GaussianState.vacuum(), th, 200, i) for i, th in enumerate(PHASES)),
+        resamples=20, seed=seed)],
+    ids=["sample_q", "sample_homodyne", "purity_from_q", "estimate_purity_homodyne"])
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (True, "seed must be an integer, got True"),
+    (None, "seed must be an integer, got None"),
+    (-1, "seed must be >= 0, got -1")], ids=["float", "str", "bool", "None", "negative"])
+def test_every_public_seed_is_checked_as_a_config_checks_it(call, seed, message):
+    with pytest.raises(ValueError) as exc:
+        call(seed)
+    assert str(exc.value) == message
+    call(np.int64(3))
+
+
+@pytest.mark.parametrize("kind, method", [("q", "q"), ("homodyne", "three-quadrature")])
+def test_cli_names_a_negative_seed(kind, method, tmp_path, capsys):
+    records, error = str(tmp_path / "records.csv"), {
+        "error": "ValueError", "message": "seed must be >= 0, got -1"}
+    assert main(["sample", "--kind", kind, "--n", "50", "--seed", "-1", "--out", records]) == 2
+    assert json.loads(capsys.readouterr().err) == error
+    assert main(["sample", "--kind", kind, "--n", "300", "--out", records]) == 0
+    assert main(["estimate", "--method", method, "--input", records, "--seed", "-1"]) == 2
+    assert json.loads(capsys.readouterr().err) == error
 
 
 def _records_trial(state, n, rng):
